@@ -23,7 +23,7 @@ from benchmarks.common import (
     print_table,
     scaled_cpu_profile,
 )
-from repro.core import DrimAnnEngine, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig, SearchParams
 from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
 from repro.data import make_query_workload
 from repro.data.ground_truth import exact_topk
@@ -65,12 +65,14 @@ def _drift_sweep(ds):
             noise_scale=5.0,
             seed=11,
         )
-        engine = DrimAnnEngine.build(
+        engine = DrimAnnEngine.from_config(
             ds.base,
-            params,
-            search_params=SearchParams(batch_size=BATCH_SIZE),
-            system_config=PimSystemConfig(num_dpus=NUM_DPUS),
-            layout_config=default_layout(),
+            EngineConfig(
+                index=params,
+                search=SearchParams(batch_size=BATCH_SIZE),
+                system=PimSystemConfig(num_dpus=NUM_DPUS),
+                layout=default_layout(),
+            ),
             heat_queries=wl.queries[:150],
             prebuilt_quantized=quant,
             cpu_profile=scaled_cpu_profile(NUM_DPUS),

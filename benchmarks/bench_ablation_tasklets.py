@@ -21,7 +21,7 @@ from benchmarks.common import (
     scaled_cpu_profile,
     NUM_DPUS,
 )
-from repro.core import DrimAnnEngine, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig, SearchParams
 from repro.pim.config import DpuConfig, PimSystemConfig
 
 TASKLETS = (2, 6, 11, 16, 24)
@@ -34,12 +34,14 @@ def _sweep_tasklets(ds):
     times = {}
     for t in TASKLETS:
         cfg = PimSystemConfig(num_dpus=NUM_DPUS, dpu=DpuConfig(num_tasklets=t))
-        engine = DrimAnnEngine.build(
+        engine = DrimAnnEngine.from_config(
             ds.base,
-            params,
-            search_params=SearchParams(batch_size=BATCH_SIZE),
-            system_config=cfg,
-            layout_config=default_layout(),
+            EngineConfig(
+                index=params,
+                search=SearchParams(batch_size=BATCH_SIZE),
+                system=cfg,
+                layout=default_layout(),
+            ),
             heat_queries=ds.queries[:250],
             prebuilt_quantized=quant,
             cpu_profile=scaled_cpu_profile(NUM_DPUS),

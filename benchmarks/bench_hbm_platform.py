@@ -22,7 +22,7 @@ from benchmarks.common import (
     print_table,
     scaled_cpu_profile,
 )
-from repro.core import DrimAnnEngine, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig, SearchParams
 from repro.pim.config import hbm_pim_system_config, scaled_system_config
 
 
@@ -37,12 +37,14 @@ def _compare(ds):
         ("upmem-like", scaled_system_config(NUM_DPUS)),
         ("hbm-pim-like", hbm_pim_system_config(num_units=NUM_DPUS)),
     ):
-        engine = DrimAnnEngine.build(
+        engine = DrimAnnEngine.from_config(
             ds.base,
-            params,
-            search_params=SearchParams(batch_size=BATCH_SIZE),
-            system_config=cfg,
-            layout_config=default_layout(),
+            EngineConfig(
+                index=params,
+                search=SearchParams(batch_size=BATCH_SIZE),
+                system=cfg,
+                layout=default_layout(),
+            ),
             heat_queries=ds.queries[:250],
             prebuilt_quantized=quant,
             cpu_profile=scaled_cpu_profile(NUM_DPUS),

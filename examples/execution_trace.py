@@ -13,6 +13,7 @@ Outputs: trace_naive.json, trace_balanced.json
 
 from repro import (
     DrimAnnEngine,
+    EngineConfig,
     IndexParams,
     LayoutConfig,
     PimSystemConfig,
@@ -41,11 +42,13 @@ def main() -> None:
     quant = None
     for name, layout, sched in arms:
         tracer = Tracer()
-        engine = DrimAnnEngine.build(
+        engine = DrimAnnEngine.from_config(
             ds.base,
-            params,
-            system_config=system,
-            layout_config=layout,
+            EngineConfig(
+                index=params,
+                system=system,
+                layout=layout,
+            ),
             heat_queries=ds.queries[:50],
             prebuilt_quantized=quant,
             tracer=tracer,

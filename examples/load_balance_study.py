@@ -15,6 +15,7 @@ Run:  python examples/load_balance_study.py
 
 from repro import (
     DrimAnnEngine,
+    EngineConfig,
     IndexParams,
     LayoutConfig,
     PimSystemConfig,
@@ -23,11 +24,13 @@ from repro import (
 
 
 def build_and_run(ds, params, quant, layout, with_scheduler, label):
-    engine = DrimAnnEngine.build(
+    engine = DrimAnnEngine.from_config(
         ds.base,
-        params,
-        system_config=PimSystemConfig(num_dpus=32),
-        layout_config=layout,
+        EngineConfig(
+            index=params,
+            system=PimSystemConfig(num_dpus=32),
+            layout=layout,
+        ),
         heat_queries=ds.queries[:100],
         prebuilt_quantized=quant,
         seed=0,

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro import (
     DrimAnnEngine,
+    EngineConfig,
     IndexParams,
     LayoutConfig,
     PimSystemConfig,
@@ -65,20 +66,24 @@ def main() -> None:
     system = PimSystemConfig(num_dpus=32)
 
     print("\nBuilding engines ...")
-    balanced = DrimAnnEngine.build(
+    balanced = DrimAnnEngine.from_config(
         ds.base,
-        params,
-        system_config=system,
-        layout_config=LayoutConfig(min_split_size=250, max_copies=2),
+        EngineConfig(
+            index=params,
+            system=system,
+            layout=LayoutConfig(min_split_size=250, max_copies=2),
+        ),
         heat_queries=workload.queries[:100],
         seed=0,
     )
-    naive = DrimAnnEngine.build(
+    naive = DrimAnnEngine.from_config(
         ds.base,
-        params,
-        system_config=system,
-        layout_config=LayoutConfig(
-            min_split_size=None, max_copies=0, allocation="id_order"
+        EngineConfig(
+            index=params,
+            system=system,
+            layout=LayoutConfig(
+                min_split_size=None, max_copies=0, allocation="id_order"
+            ),
         ),
         prebuilt_quantized=balanced.quantized,
         seed=0,

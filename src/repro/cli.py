@@ -23,7 +23,7 @@ default — the mmap cold-start path of ``DrimAnnEngine.load``),
 `index info` reads the header without decoding payloads,
 `index verify` checks structure + per-segment checksums, and
 `index compact` drops tombstoned points and atomically rewrites the
-file. `build` is the deprecated v1 alias (`index build --format v1`).
+file (``--format v1`` writes the legacy ``.npz`` container instead).
 `search`/`serve`/`chaos` accept ``--index PATH`` to run from a saved
 index instead of retraining; `search` runs the simulated engine end to
 end and reports recall and the timing breakdown (``--profile`` adds
@@ -120,17 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("info", help="version, presets, default hardware")
     _add_json_arg(i)
 
-    b = sub.add_parser(
-        "build",
-        help="train + quantize an index, save to legacy .npz "
-             "(deprecated alias of `index build --format v1`)",
-    )
-    b.add_argument("--preset", default="sift-like-20k")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", required=True, help="output .npz path")
-    _add_index_args(b)
-    _add_json_arg(b)
-
     ix = sub.add_parser(
         "index",
         help="durable index lifecycle: build, inspect, verify, compact",
@@ -177,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--preset", default="sift-like-20k")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--index", help="prebuilt index file (`repro index build` "
-                                   "v2 binary or legacy `repro build` .npz)")
+                                   "v2 binary or legacy v1 .npz)")
     s.add_argument("--dpus", type=int, default=32)
     s.add_argument("--queries", type=int, default=200)
     s.add_argument("--execution", default="batched",
@@ -478,7 +467,7 @@ def _params(args):
 
 
 def _train_and_write(args, fmt: str) -> int:
-    """Shared body of ``repro build`` and ``repro index build``."""
+    """Body of ``repro index build``: train, quantize, write ``fmt``."""
     from dataclasses import asdict
 
     from repro.ann import IVFPQIndex
@@ -524,10 +513,6 @@ def _train_and_write(args, fmt: str) -> int:
         },
     )
     return 0
-
-
-def _cmd_build(args) -> int:
-    return _train_and_write(args, "v1")
 
 
 def _cmd_index(args) -> int:
@@ -1265,7 +1250,6 @@ def _cmd_bench_kernels(args) -> int:
 
 _COMMANDS = {
     "info": _cmd_info,
-    "build": _cmd_build,
     "index": _cmd_index,
     "search": _cmd_search,
     "model": _cmd_model,

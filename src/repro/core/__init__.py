@@ -37,9 +37,7 @@ from repro.core.persist import (
     index_info,
     load_index,
     load_index_bundle,
-    load_quantized,
     save_index,
-    save_quantized,
     verify_index,
     write_v1,
 )
@@ -84,9 +82,7 @@ __all__ = [
     "index_info",
     "load_index",
     "load_index_bundle",
-    "load_quantized",
     "save_index",
-    "save_quantized",
     "verify_index",
     "write_v1",
     "BatchingPolicy",

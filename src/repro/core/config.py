@@ -1,9 +1,9 @@
 """One config object for the whole engine.
 
-:class:`~repro.core.engine.DrimAnnEngine.build` grew five config
-bundles plus loose kwargs; sweeping a knob meant knowing which bundle
-owns it and threading the rest through untouched. :class:`EngineConfig`
-replaces that with a single validated facade:
+The engine has five config bundles (index, search, layout, system,
+faults) plus observability; sweeping a knob should not mean knowing
+which bundle owns it and threading the rest through untouched.
+:class:`EngineConfig` is the single validated facade over them:
 
     config = EngineConfig(index=IndexParams(nlist=64, nprobe=8, k=10,
                                             num_subspaces=8))
@@ -37,8 +37,8 @@ __all__ = ["EngineConfig"]
 class EngineConfig:
     """Everything :meth:`DrimAnnEngine.from_config` needs, in one bundle.
 
-    Only ``index`` is required; every other field has the same default
-    the old ``build(...)`` kwargs had. Equality across configs holding
+    Only ``index`` is required; every other field defaults to its
+    sub-config's defaults. Equality across configs holding
     a :class:`FaultPlan` should compare ``to_dict()`` (the plan carries
     an ndarray, which breaks dataclass ``==``).
     """

@@ -19,6 +19,10 @@ Search pipeline (online, per batch):
 3. execute RC→LC→DC→TS on the DPUs (functional + cycle-counted);
 4. gather and merge per-task partial top-k into per-query results.
 
+Steps 2-3 form one round. An exhaustive batch is a single round that
+issues every probe; under adaptive probing each round issues one probe
+per still-active query (see :meth:`DrimAnnEngine.search`).
+
 The engine's numeric output is invariant to layout and scheduling: for
 any configuration it must equal
 :meth:`~repro.core.quantized.QuantizedIndexData.reference_search`.
@@ -27,7 +31,6 @@ any configuration it must equal
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -38,12 +41,7 @@ from repro.core import adaptive as adaptive_probing
 from repro.core.adaptive import AdaptiveReport
 from repro.core.breakdown import TimingBreakdown
 from repro.core.config import EngineConfig
-from repro.core.layout import (
-    LayoutConfig,
-    LayoutPlan,
-    estimate_cluster_heat,
-    generate_layout,
-)
+from repro.core.layout import LayoutPlan, estimate_cluster_heat, generate_layout
 from repro.core.opq_preprocess import OpqPreprocessor
 from repro.core.params import (
     ADAPTIVE_MODES,
@@ -58,12 +56,11 @@ from repro.core.perf_model import AnalyticPerfModel, HardwareProfile
 from repro.core.persist import load_index_bundle, save_index
 from repro.core.quantized import QuantizedIndexData, build_quantized_index
 from repro.core.results import SearchOutcome
-from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
+from repro.core.scheduler import RuntimeScheduler
 from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultStats
 from repro.obs.observer import EngineObserver
-from repro.pim.config import PimSystemConfig
 from repro.pim.system import PimSystem, ShardData
 from repro.utils import check_2d, ensure_rng, merge_topk_pools
 
@@ -475,53 +472,6 @@ class DrimAnnEngine:
 
     # ------------------------------------------------------------------ build
     @classmethod
-    def build(
-        cls,
-        base: np.ndarray,
-        params: IndexParams,
-        *,
-        search_params: SearchParams = SearchParams(),
-        system_config: PimSystemConfig = PimSystemConfig(),
-        layout_config: LayoutConfig = LayoutConfig(),
-        heat_queries: Optional[np.ndarray] = None,
-        use_opq: bool = False,
-        prebuilt_index: Optional[IVFPQIndex] = None,
-        prebuilt_quantized: Optional[QuantizedIndexData] = None,
-        cpu_profile: Optional[HardwareProfile] = None,
-        tracer=None,
-        fault_plan: Optional[FaultPlan] = None,
-        seed=None,
-    ) -> "DrimAnnEngine":
-        """Deprecated: bundle the config kwargs into an
-        :class:`~repro.core.config.EngineConfig` and call
-        :meth:`from_config` instead. This shim forwards unchanged.
-        """
-        warnings.warn(
-            "DrimAnnEngine.build(...) is deprecated; use "
-            "DrimAnnEngine.from_config(dataset, EngineConfig(index=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = EngineConfig(
-            index=params,
-            search=search_params,
-            layout=layout_config,
-            system=system_config,
-            faults=fault_plan,
-            use_opq=use_opq,
-        )
-        return cls.from_config(
-            base,
-            config,
-            heat_queries=heat_queries,
-            prebuilt_index=prebuilt_index,
-            prebuilt_quantized=prebuilt_quantized,
-            cpu_profile=cpu_profile,
-            tracer=tracer,
-            seed=seed,
-        )
-
-    @classmethod
     def from_config(
         cls,
         dataset: np.ndarray,
@@ -902,6 +852,22 @@ class DrimAnnEngine:
         termination still applies. The outcome's ``adaptive`` field
         reports what was actually probed.
 
+        Every mode runs the same round loop. Each query carries its
+        ordered probe list and a probe limit (its budget). Without a
+        bound or budget a batch is one round that issues every probe;
+        otherwise each round issues one probe per still-active query,
+        so a query stops the moment its bound fires or its budget is
+        spent. The CL/RC/LC/DC/TS ledger therefore holds *only*
+        clusters actually dispatched (kernel costs are linear in group
+        size, so per-round dispatch charges exactly what one batch of
+        the same tasks would), and host CL time is charged once per
+        query batch, on its first round. Results under ``"bound"`` are
+        bit-identical to the exhaustive scan: the bound is
+        conservative, a partial pool's k-th distance only overestimates
+        the final one, and the strict ``d_k < bound`` test means no
+        remaining point can enter the top-k even on a (distance, id)
+        tie.
+
         Under a fault plan, tasks lost to fail-stopped DPUs are
         re-dispatched to surviving replicas with exponential backoff
         charged to the run; dead DPUs are blacklisted in the scheduler.
@@ -962,28 +928,20 @@ class DrimAnnEngine:
             raise ValueError(
                 f"adaptive must be one of {ADAPTIVE_MODES}, got {amode!r}"
             )
-        if amode != "off" and nq:
-            use_bound = (
-                amode in ("bound", "full")
-                and self.cluster_radii_sq() is not None
-            )
-            use_budget = amode in ("budget", "full") and probes is None
-            if use_bound or use_budget:
-                return self._search_adaptive(
-                    queries,
-                    k=k,
-                    nq=nq,
-                    bs=bs,
-                    plan_mode=plan_mode,
-                    kb_mode=kb_mode,
-                    probes=probes,
-                    with_scheduler=with_scheduler,
-                    amode=amode,
-                    use_bound=use_bound,
-                    use_budget=use_budget,
-                )
-            # Degenerate (e.g. radii-less old index under "bound"):
-            # fall through to the exhaustive path unchanged.
+        # A radii-less old index under "bound" degrades to exhaustive.
+        use_bound = (
+            nq > 0
+            and amode in ("bound", "full")
+            and self.cluster_radii_sq() is not None
+        )
+        use_budget = nq > 0 and amode in ("budget", "full") and probes is None
+        stepwise = use_bound or use_budget
+        radii = self._radii_sq
+        nprobe_min = self.search_params.nprobe_min
+        if nprobe_min is None:
+            nprobe_min = max(1, self.params.nprobe // 4)
+        gap = self.search_params.adaptive_gap
+
         obs = self.observer
         if obs is not None:
             obs.on_search_start(nq)
@@ -992,13 +950,7 @@ class DrimAnnEngine:
         if not with_scheduler:
             scheduler = RuntimeScheduler(
                 self.plan,
-                SchedulerConfig(
-                    lut_latency=self.scheduler.config.lut_latency,
-                    per_point_calc=self.scheduler.config.per_point_calc,
-                    per_point_sort=self.scheduler.config.per_point_sort,
-                    filter_threshold=None,
-                    policy="static",
-                ),
+                replace(scheduler.config, filter_threshold=None, policy="static"),
             )
             scheduler.adopt_fault_state(self.scheduler)
 
@@ -1011,51 +963,112 @@ class DrimAnnEngine:
         breakdown = TimingBreakdown()
         breakdown.faults = stats
         carried: List[Tuple[int, int]] = []
+        executed: List[List[int]] = [[] for _ in range(nq)]
+        budgets = np.zeros(nq, dtype=np.int64)
+        reasons: List[str] = ["exhausted"] * nq
 
         cl_on_pim = self.search_params.cluster_locate_on == "pim"
-        batch_starts = list(range(0, nq, bs))
-        for bi, q0 in enumerate(batch_starts):
+        for q0 in range(0, nq, bs):
             q1 = min(q0 + bs, nq)
+            nb = q1 - q0
+            rr: Optional[np.ndarray] = None
+            cl_sec, cl_cycles, host_s = 0.0, 0.0, 0.0
             if probes is not None:
                 batch_probes = probes[q0:q1]
-                cl_sec, cl_cycles = 0.0, 0.0
-                host_s = 0.0
             elif cl_on_pim:
                 batch_probes, cl_sec, cl_cycles = self.system.locate_on_pim(
                     queries[q0:q1], self.params.nprobe
                 )
-                host_s = 0.0
             else:
-                batch_probes = self.quantized.locate(
-                    queries[q0:q1], self.params.nprobe
-                )
-                cl_sec, cl_cycles = 0.0, 0.0
-                host_s = self._host_cl_seconds(q1 - q0)
-            tasks = list(carried)
-            for local, qidx in enumerate(range(q0, q1)):
-                tasks.extend(
-                    (qidx, int(c)) for c in batch_probes[local] if c >= 0
-                )
-            outcome = scheduler.schedule_batch(tasks)
-            carried = list(outcome.deferred)
-            stats.uncovered.update(outcome.uncovered)
+                host_s = self._host_cl_seconds(nb)
+                if stepwise:
+                    batch_probes, rr = self.quantized.locate_with_distances(
+                        queries[q0:q1], self.params.nprobe
+                    )
+                else:
+                    batch_probes = self.quantized.locate(
+                        queries[q0:q1], self.params.nprobe
+                    )
+            if stepwise and rr is None:
+                rr = self._centroid_distances(queries[q0:q1], batch_probes)
+
+            # Per-query probe lists, probe limits, and (under the bound)
+            # the suffix-minimum of the remaining clusters' lower bounds.
+            plists: List[List[int]] = []
+            lb_sfx: List[Optional[np.ndarray]] = []
+            limits: List[int] = []
+            for i in range(nb):
+                row = np.asarray(batch_probes[i])
+                valid = row >= 0
+                plist = row[valid].tolist()
+                limit = len(plist)
+                lb = None
+                if use_bound and limit:
+                    lb = adaptive_probing.lower_bounds(
+                        rr[i][valid], radii[plist]
+                    )
+                    lb = np.minimum.accumulate(lb[::-1])[::-1]
+                if use_budget and limit > 1:
+                    b = adaptive_probing.probe_budgets(
+                        rr[i][valid][None, :], nprobe_min, gap
+                    )[0]
+                    limit = min(limit, int(b))
+                plists.append(plist)
+                lb_sfx.append(lb)
+                limits.append(limit)
+                budgets[q0 + i] = limit
+
             # Fault plans index events by logical (batch_size) batches;
-            # a batched round spans all the logical batches it covers.
-            span = -(-(q1 - q0) // self.search_params.batch_size)
-            failed = self._execute(
-                outcome.assignments, queries, k, pools_i, pools_d, breakdown,
-                host_seconds=host_s,
-                num_new_queries=q1 - q0,
-                extra_pim_seconds=cl_sec,
-                extra_cl_cycles=cl_cycles,
-                batch_span=max(span, 1),
-                plan=plan_mode,
-                kernel_backend=kb_mode,
-            )
-            self._recover(
-                failed, scheduler, queries, k, pools_i, pools_d, breakdown,
-                plan=plan_mode, kernel_backend=kb_mode,
-            )
+            # the one exhaustive round spans all the ones it covers.
+            span = 1 if stepwise else max(-(-nb // self.search_params.batch_size), 1)
+            ptr = [0] * nb
+            done = [limit == 0 for limit in limits]
+            first_round = True
+            # The exhaustive round always runs (it also flushes carried
+            # tasks); stepwise rounds run while any query is active.
+            while (first_round and not stepwise) or not all(done):
+                tasks = list(carried)
+                for i in range(nb):
+                    if done[i]:
+                        continue
+                    end = ptr[i] + 1 if stepwise else limits[i]
+                    issue = plists[i][ptr[i]:end]
+                    tasks.extend((q0 + i, cid) for cid in issue)
+                    executed[q0 + i].extend(issue)
+                    ptr[i] = end
+                outcome = scheduler.schedule_batch(tasks)
+                carried = list(outcome.deferred)
+                stats.uncovered.update(outcome.uncovered)
+                failed = self._execute(
+                    outcome.assignments, queries, k, pools_i, pools_d,
+                    breakdown,
+                    host_seconds=host_s if first_round else 0.0,
+                    num_new_queries=nb if first_round else 0,
+                    extra_pim_seconds=cl_sec if first_round else 0.0,
+                    extra_cl_cycles=cl_cycles if first_round else 0.0,
+                    batch_span=span,
+                    plan=plan_mode,
+                    kernel_backend=kb_mode,
+                )
+                self._recover(
+                    failed, scheduler, queries, k, pools_i, pools_d,
+                    breakdown, plan=plan_mode, kernel_backend=kb_mode,
+                )
+                first_round = False
+                for i in range(nb):
+                    if done[i]:
+                        continue
+                    gq = q0 + i
+                    if lb_sfx[i] is not None and ptr[i] < limits[i]:
+                        dk = adaptive_probing.kth_pool_distance(pools_d[gq], k)
+                        if dk < lb_sfx[i][ptr[i]]:
+                            done[i] = True
+                            reasons[gq] = "bound"
+                            continue
+                    if ptr[i] >= limits[i]:
+                        done[i] = True
+                        if limits[i] < len(plists[i]):
+                            reasons[gq] = "budget"
 
         # Drain deferred tasks (filter off so the queue empties).
         drain_guard = 0
@@ -1064,14 +1077,7 @@ class DrimAnnEngine:
             if drain_guard > 100:
                 raise RuntimeError("scheduler failed to drain deferred tasks")
             drain_sched = RuntimeScheduler(
-                self.plan,
-                SchedulerConfig(
-                    lut_latency=scheduler.config.lut_latency,
-                    per_point_calc=scheduler.config.per_point_calc,
-                    per_point_sort=scheduler.config.per_point_sort,
-                    filter_threshold=None,
-                    policy=scheduler.config.policy,
-                ),
+                self.plan, replace(scheduler.config, filter_threshold=None)
             )
             drain_sched.adopt_fault_state(scheduler)
             outcome = drain_sched.schedule_batch(carried)
@@ -1094,253 +1100,38 @@ class DrimAnnEngine:
         if obs is not None:
             obs.on_faults(stats)
 
-        out_ids, out_dist = merge_topk_pools(pools_i, pools_d, nq, k)
-        return SearchOutcome(
-            results=SearchResult(ids=out_ids, distances=out_dist),
-            breakdown=breakdown,
-            metrics=obs.snapshot() if obs is not None else None,
-        )
-
-    def _search_adaptive(
-        self,
-        queries: np.ndarray,
-        *,
-        k: int,
-        nq: int,
-        bs: int,
-        plan_mode: str,
-        kb_mode: str,
-        probes: Optional[np.ndarray],
-        with_scheduler: bool,
-        amode: str,
-        use_bound: bool,
-        use_budget: bool,
-    ) -> SearchOutcome:
-        """The adaptive arm of :meth:`search` (``adaptive != "off"``).
-
-        Probes are dispatched in *rounds* — one cluster per still-active
-        query per round — so each query can stop the moment its k-th
-        distance beats the suffix-minimum lower bound of its remaining
-        clusters (``use_bound``), or when its gap-heuristic budget is
-        spent (``use_budget``). Everything else reuses the exhaustive
-        path's machinery: the runtime scheduler maps each round's
-        shrunken work list, ``_execute``/``_recover`` run and charge it,
-        and the CL/RC/LC/DC/TS ledger therefore contains *only* clusters
-        actually dispatched (kernel costs are linear in group size, so
-        per-round dispatch charges exactly what a single batch of the
-        same tasks would — the ledger-honesty property the conformance
-        suite replays through the fixed ``probes=`` path). Host CL time
-        is charged once per query batch, on its first round, exactly as
-        the exhaustive path does.
-
-        Results under ``use_bound`` alone are bit-identical to the
-        exhaustive scan: the bound is conservative (see
-        :mod:`repro.core.adaptive`), a partial pool's k-th distance only
-        overestimates the final one, and a strict ``d_k < bound`` test
-        means no remaining point can enter the top-k even on a
-        (distance, id) tie.
-        """
-        obs = self.observer
-        if obs is not None:
-            obs.on_search_start(nq)
-
-        scheduler = self.scheduler
-        if not with_scheduler:
-            scheduler = RuntimeScheduler(
-                self.plan,
-                SchedulerConfig(
-                    lut_latency=self.scheduler.config.lut_latency,
-                    per_point_calc=self.scheduler.config.per_point_calc,
-                    per_point_sort=self.scheduler.config.per_point_sort,
-                    filter_threshold=None,
-                    policy="static",
-                ),
+        report = None
+        if stepwise:
+            # The report (and the ledger-honesty contract) counts
+            # clusters whose scans were charged: issued minus
+            # fault-uncovered. Under partial shard loss the whole
+            # cluster is conservatively dropped from the executed list.
+            for qidx, cid in stats.uncovered:
+                lst = executed[qidx]
+                if int(cid) in lst:
+                    lst.remove(int(cid))
+            probes_exec = np.array(
+                [len(executed[q]) for q in range(nq)], dtype=np.int64
             )
-            scheduler.adopt_fault_state(self.scheduler)
-
-        stats = FaultStats()
-        if self.fault_plan is not None:
-            stats.straggler_dpus = set(self.fault_plan.straggler_dpus)
-
-        pools_i: List[List[np.ndarray]] = [[] for _ in range(nq)]
-        pools_d: List[List[np.ndarray]] = [[] for _ in range(nq)]
-        breakdown = TimingBreakdown()
-        breakdown.faults = stats
-        carried: List[Tuple[int, int]] = []
-
-        radii = self.cluster_radii_sq() if use_bound else None
-        nprobe_min = self.search_params.nprobe_min
-        if nprobe_min is None:
-            nprobe_min = max(1, self.params.nprobe // 4)
-        gap = self.search_params.adaptive_gap
-
-        executed: List[List[int]] = [[] for _ in range(nq)]
-        budgets = np.zeros(nq, dtype=np.int64)
-        reasons: List[str] = ["exhausted"] * nq
-
-        cl_on_pim = self.search_params.cluster_locate_on == "pim"
-        for q0 in range(0, nq, bs):
-            q1 = min(q0 + bs, nq)
-            nb = q1 - q0
-            if probes is not None:
-                batch_probes = np.asarray(probes[q0:q1])
-                cl_sec, cl_cycles = 0.0, 0.0
-                host_s = 0.0
-                rr = self._centroid_distances(queries[q0:q1], batch_probes)
-            elif cl_on_pim:
-                batch_probes, cl_sec, cl_cycles = self.system.locate_on_pim(
-                    queries[q0:q1], self.params.nprobe
-                )
-                host_s = 0.0
-                rr = self._centroid_distances(queries[q0:q1], batch_probes)
-            else:
-                batch_probes, rr = self.quantized.locate_with_distances(
-                    queries[q0:q1], self.params.nprobe
-                )
-                cl_sec, cl_cycles = 0.0, 0.0
-                host_s = self._host_cl_seconds(nb)
-
-            # Per-query compacted probe lists, budgets, and the
-            # suffix-minimum of the remaining clusters' lower bounds.
-            plists: List[np.ndarray] = []
-            lb_sfx: List[Optional[np.ndarray]] = []
-            limits = np.empty(nb, dtype=np.int64)
-            for i in range(nb):
-                row = np.asarray(batch_probes[i])
-                valid = row >= 0
-                plist = row[valid].astype(np.int64)
-                plists.append(plist)
-                limits[i] = len(plist)
-                if use_bound and len(plist):
-                    lb = adaptive_probing.lower_bounds(
-                        rr[i][valid], radii[plist]
-                    )
-                    lb_sfx.append(np.minimum.accumulate(lb[::-1])[::-1])
-                else:
-                    lb_sfx.append(None)
-                if use_budget and len(plist) > 1:
-                    b = int(
-                        adaptive_probing.probe_budgets(
-                            rr[i][valid][None, :], nprobe_min, gap
-                        )[0]
-                    )
-                    limits[i] = min(limits[i], b)
-                budgets[q0 + i] = limits[i]
-
-            ptr = np.zeros(nb, dtype=np.int64)
-            done = limits == 0
-            first_round = True
-            while not done.all():
-                tasks = list(carried)
-                for i in range(nb):
-                    if done[i]:
-                        continue
-                    gq = q0 + i
-                    cid = int(plists[i][ptr[i]])
-                    tasks.append((gq, cid))
-                    executed[gq].append(cid)
-                    ptr[i] += 1
-                outcome = scheduler.schedule_batch(tasks)
-                carried = list(outcome.deferred)
-                stats.uncovered.update(outcome.uncovered)
-                failed = self._execute(
-                    outcome.assignments, queries, k, pools_i, pools_d,
-                    breakdown,
-                    host_seconds=host_s if first_round else 0.0,
-                    num_new_queries=nb if first_round else 0,
-                    extra_pim_seconds=cl_sec if first_round else 0.0,
-                    extra_cl_cycles=cl_cycles if first_round else 0.0,
-                    batch_span=1,
-                    plan=plan_mode,
-                    kernel_backend=kb_mode,
-                )
-                self._recover(
-                    failed, scheduler, queries, k, pools_i, pools_d,
-                    breakdown, plan=plan_mode, kernel_backend=kb_mode,
-                )
-                first_round = False
-                for i in range(nb):
-                    if done[i]:
-                        continue
-                    gq = q0 + i
-                    if use_bound and ptr[i] < limits[i]:
-                        dk = adaptive_probing.kth_pool_distance(pools_d[gq], k)
-                        if dk < lb_sfx[i][ptr[i]]:
-                            done[i] = True
-                            reasons[gq] = "bound"
-                            continue
-                    if ptr[i] >= limits[i]:
-                        done[i] = True
-                        reasons[gq] = (
-                            "budget"
-                            if limits[i] < len(plists[i])
-                            else "exhausted"
-                        )
-
-        # Drain deferred tasks (filter off so the queue empties).
-        drain_guard = 0
-        while carried:
-            drain_guard += 1
-            if drain_guard > 100:
-                raise RuntimeError("scheduler failed to drain deferred tasks")
-            drain_sched = RuntimeScheduler(
-                self.plan,
-                SchedulerConfig(
-                    lut_latency=scheduler.config.lut_latency,
-                    per_point_calc=scheduler.config.per_point_calc,
-                    per_point_sort=scheduler.config.per_point_sort,
-                    filter_threshold=None,
-                    policy=scheduler.config.policy,
-                ),
-            )
-            drain_sched.adopt_fault_state(scheduler)
-            outcome = drain_sched.schedule_batch(carried)
-            carried = list(outcome.deferred)
-            stats.uncovered.update(outcome.uncovered)
-            failed = self._execute(
-                outcome.assignments, queries, k, pools_i, pools_d, breakdown,
-                host_seconds=0.0, num_new_queries=0, plan=plan_mode,
-                kernel_backend=kb_mode,
-            )
-            self._recover(
-                failed, drain_sched, queries, k, pools_i, pools_d, breakdown,
-                plan=plan_mode, kernel_backend=kb_mode,
-            )
-            scheduler.mark_dead(drain_sched.dead_dpus - scheduler.dead_dpus)
-
-        stats.finalize(num_queries=nq, nprobe=self.params.nprobe)
-        if obs is not None:
-            obs.on_faults(stats)
-
-        # The report (and the ledger-honesty contract) counts clusters
-        # whose scans were charged: issued minus fault-uncovered. Under
-        # partial shard loss the whole cluster is conservatively
-        # dropped from the executed list.
-        for qidx, cid in stats.uncovered:
-            lst = executed[qidx]
-            if int(cid) in lst:
-                lst.remove(int(cid))
-        probes_exec = np.array(
-            [len(executed[q]) for q in range(nq)], dtype=np.int64
-        )
-        if obs is not None:
-            for q in range(nq):
-                obs.on_probes_executed(int(probes_exec[q]))
-                obs.on_adaptive_stop(reasons[q])
-
-        out_ids, out_dist = merge_topk_pools(pools_i, pools_d, nq, k)
-        return SearchOutcome(
-            results=SearchResult(ids=out_ids, distances=out_dist),
-            breakdown=breakdown,
-            metrics=obs.snapshot() if obs is not None else None,
-            adaptive=AdaptiveReport(
+            if obs is not None:
+                for q in range(nq):
+                    obs.on_probes_executed(int(probes_exec[q]))
+                    obs.on_adaptive_stop(reasons[q])
+            report = AdaptiveReport(
                 mode=amode,
                 nprobe_max=self.params.nprobe,
                 budgets=budgets,
                 probes_executed=probes_exec,
                 stop_reasons=reasons,
                 executed=executed,
-            ),
+            )
+
+        out_ids, out_dist = merge_topk_pools(pools_i, pools_d, nq, k)
+        return SearchOutcome(
+            results=SearchResult(ids=out_ids, distances=out_dist),
+            breakdown=breakdown,
+            metrics=obs.snapshot() if obs is not None else None,
+            adaptive=report,
         )
 
     def _execute(

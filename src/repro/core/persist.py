@@ -32,9 +32,6 @@ it:
     bundle = load_index_bundle("index.drim")     # mmap-backed views
     quant = load_index("index.drim")             # just the index
 
-``save_quantized`` / ``load_quantized`` remain as
-``DeprecationWarning`` shims over the same machinery.
-
 Cluster arrays are stored concatenated with offset tables rather than
 as thousands of tiny members (per-member overhead is brutal at
 nlist=2^16). Offsets and flat-array lengths are validated up front so
@@ -59,7 +56,6 @@ import json
 import os
 import struct
 import tempfile
-import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -779,36 +775,3 @@ def verify_index(path: str) -> dict:
         "checked_segments": checked,
         "errors": errors,
     }
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims (the pre-lifecycle API)
-# ---------------------------------------------------------------------------
-
-def save_quantized(index: QuantizedIndexData, path: str) -> None:
-    """Deprecated: use :meth:`DrimAnnEngine.save` or :func:`save_index`.
-
-    Writes the legacy v1 ``.npz`` container, exactly as before.
-    """
-    warnings.warn(
-        "save_quantized() is deprecated; use DrimAnnEngine.save(path) or "
-        "repro.core.persist.save_index(index, path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    write_v1(index, path)
-
-
-def load_quantized(path: str) -> QuantizedIndexData:
-    """Deprecated: use :meth:`DrimAnnEngine.load` or :func:`load_index`.
-
-    Reads either container format, materialized (no mmap), exactly as
-    before.
-    """
-    warnings.warn(
-        "load_quantized() is deprecated; use DrimAnnEngine.load(path) or "
-        "repro.core.persist.load_index(path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return load_index(path, mmap=False)

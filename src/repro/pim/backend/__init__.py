@@ -42,6 +42,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.topk_merge import topk_canonical
+
 #: Valid backend selection modes. ``auto`` resolves to the best
 #: available implementation; the named modes request one specifically
 #: (``numba`` degrades to ``numpy`` with a recorded fallback when the
@@ -55,7 +57,7 @@ KERNEL_BACKEND_MODES = ("auto", "numpy", "numba")
 #: backend and every execution path uses this same threshold, which is
 #: what keeps the data plane bit-exact: below it all paths call the
 #: identical selection kernel; at or above it all paths use the
-#: identical canonical ``(distance, position)`` merge.
+#: identical canonical ``(distance, id)`` merge.
 SCAN_TOPK_N_CHUNK = 1 << 16
 
 
@@ -113,7 +115,7 @@ class KernelBackend:
         ``topk_rows(self.scan(luts, codes), ids, k)`` — the one
         selection kernel every execution path shares. Larger clusters
         are scanned in ``n_chunk``-point column slices and merged with
-        the canonical ``(distance, position)`` rule, so the full
+        the canonical ``(distance, id)`` rule, so the full
         ``(g, n)`` matrix is never materialized.
         """
         from repro.pim.kernels import topk_rows
@@ -134,44 +136,26 @@ def _scan_topk_chunked(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Column-chunked scan+top-k with the canonical merge rule.
 
-    Candidates are ranked by ``(distance, global position)`` via a
-    per-row lexsort — a deterministic total order, identical no matter
-    how the columns were chunked (verified against the unchunked path
-    by the property tests whenever distances are untied).
+    Each ``n_chunk``-point column slice goes through ``topk_rows`` and
+    the running per-row pools merge under the canonical
+    ``(distance, id)`` order — a deterministic total order, so the
+    result equals the unchunked path for any chunk size, ties included
+    (verified by the property tests).
     """
-    g = luts.shape[0]
-    n = codes.shape[0]
-    kk = min(k, n)
-    # Running candidate pool per row: at most kk survivors + one
-    # chunk's fresh top-kk, merged after every slice.
-    pool_d: Optional[np.ndarray] = None
-    pool_p: Optional[np.ndarray] = None
-    for c0 in range(0, n, n_chunk):
-        dists = backend.scan(luts, codes[c0 : c0 + n_chunk])
-        cn = dists.shape[1]
-        ck = min(kk, cn)
-        part = np.argpartition(dists, ck - 1, axis=1)[:, :ck]
-        cand_d = np.take_along_axis(dists, part, axis=1)
-        cand_p = part.astype(np.int64) + c0
-        if pool_d is None:
-            pool_d, pool_p = cand_d, cand_p
-        else:
-            pool_d = np.concatenate([pool_d, cand_d], axis=1)
-            pool_p = np.concatenate([pool_p, cand_p], axis=1)
-        if pool_d.shape[1] > kk:
-            keep_d = np.empty((g, kk), dtype=pool_d.dtype)
-            keep_p = np.empty((g, kk), dtype=np.int64)
-            for row in range(g):
-                order = np.lexsort((pool_p[row], pool_d[row]))[:kk]
-                keep_d[row] = pool_d[row, order]
-                keep_p[row] = pool_p[row, order]
-            pool_d, pool_p = keep_d, keep_p
-    assert pool_d is not None and pool_p is not None
-    results: List[Tuple[np.ndarray, np.ndarray]] = []
-    for row in range(g):
-        order = np.lexsort((pool_p[row], pool_d[row]))[:kk]
-        results.append((ids[pool_p[row, order]], pool_d[row, order]))
-    return results
+    from repro.pim.kernels import topk_rows
+
+    pools: List[Tuple[np.ndarray, np.ndarray]] = []
+    for c0 in range(0, codes.shape[0], n_chunk):
+        part = topk_rows(
+            backend.scan(luts, codes[c0 : c0 + n_chunk]),
+            ids[c0 : c0 + n_chunk],
+            k,
+        )
+        pools = part if not pools else [
+            topk_canonical(np.concatenate((pd, cd)), np.concatenate((pi, ci)), k)
+            for (pi, pd), (ci, cd) in zip(pools, part)
+        ]
+    return pools
 
 
 class _GuardedBackend(KernelBackend):

@@ -66,9 +66,12 @@ def topk_rows(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Functional core of TS: per-row top-k of a ``(g, n)`` block.
 
-    Returns ``(ids_k, dists_k)`` per row, each sorted ascending by
-    distance (stable in row order on ties). No cost accounting —
-    callers that model timing charge :func:`topk_sort_cost` separately.
+    Returns ``(ids_k, dists_k)`` per row in the canonical
+    ``(distance, id)`` order that :func:`~repro.utils.merge_topk_pools`
+    and the host reference use: a tie at the k-th distance keeps the
+    smallest ids, and equal distances come out in ascending id order.
+    No cost accounting — callers that model timing charge
+    :func:`topk_sort_cost` separately.
     """
     dists = np.asarray(dists)
     ids = np.asarray(ids)
@@ -80,15 +83,21 @@ def topk_rows(
         raise ValueError(f"k must be >= 1, got {k}")
     g, n = dists.shape
     kk = min(k, n)
-    results: List[Tuple[np.ndarray, np.ndarray]] = []
-    if n:
-        sel, vals = topk_smallest(dists, kk, axis=1)
-        for row in range(g):
-            results.append((ids[sel[row]], vals[row]))
-    else:
+    if not n:
         empty_i = np.empty(0, dtype=np.int64)
         empty_d = np.empty(0, dtype=dists.dtype)
-        results = [(empty_i, empty_d) for _ in range(g)]
+        return [(empty_i, empty_d) for _ in range(g)]
+    # One extra candidate exposes a tie at the k-th distance. Rows with
+    # any tie re-rank every candidate up to the k-th distance by
+    # (distance, id); the rest are already canonical.
+    sel, vals = topk_smallest(dists, kk + 1, axis=1)
+    results = list(zip(ids[sel[:, :kk]], vals[:, :kk]))
+    tied = vals[:, 1:] == vals[:, :-1]
+    if tied.any():
+        for row in np.flatnonzero(tied.any(axis=1)):
+            cand = np.flatnonzero(dists[row] <= vals[row, kk - 1])
+            keep = cand[np.lexsort((ids[cand], dists[row, cand]))[:kk]]
+            results[row] = (ids[keep], dists[row, keep])
     return results
 
 

@@ -56,7 +56,8 @@ class TestBuildSearch:
         out_path = str(tmp_path / "idx.npz")
         rc = main(
             [
-                "build", "--preset", "sift-like-20k", "--out", out_path,
+                "index", "build", "--format", "v1", "--preset",
+                "sift-like-20k", "--out", out_path,
                 "--nlist", "64", "--m", "16", "--cb", "32",
             ]
         )
@@ -151,7 +152,7 @@ class TestParser:
 
     def test_missing_required(self):
         with pytest.raises(SystemExit):
-            main(["build", "--preset", "x"])  # --out missing
+            main(["index", "build", "--preset", "x"])  # --out missing
 
     def test_alias_flags_parse(self, capsys):
         """Hidden long-form aliases map onto the canonical flags."""

@@ -44,13 +44,6 @@ class TestIndexBuild:
         # legacy container really is a NumPy archive
         assert open(out, "rb").read(2) == b"PK"
 
-    def test_deprecated_build_alias_still_works(self, tmp_path, capsys):
-        out = str(tmp_path / "idx.npz")
-        rc = main(["build", "--preset", "sift-like-20k", "--out", out]
-                  + BUILD_ARGS)
-        assert rc == 0
-        assert "wrote" in capsys.readouterr().out
-
 
 class TestIndexInfo:
     def test_info_text(self, v2_index, capsys):

@@ -18,14 +18,16 @@ class TestTuneThroughput:
         assert all(best_score >= s for _, s in res.sweep)
 
     def test_apply_installs_winner(self, small_ds, small_quantized, small_params):
-        from repro.core import DrimAnnEngine, SearchParams
+        from repro.core import DrimAnnEngine, EngineConfig, SearchParams
         from repro.pim.config import PimSystemConfig
 
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            search_params=SearchParams(batch_size=32),
-            system_config=PimSystemConfig(num_dpus=8),
+            EngineConfig(
+                index=small_params,
+                search=SearchParams(batch_size=32),
+                system=PimSystemConfig(num_dpus=8),
+            ),
             prebuilt_quantized=small_quantized,
             seed=0,
         )

@@ -4,6 +4,7 @@ import pytest
 from repro.ann import recall_at_k
 from repro.core import (
     DrimAnnEngine,
+    EngineConfig,
     IndexParams,
     LayoutConfig,
     SearchParams,
@@ -30,13 +31,20 @@ class TestBuild:
             nlist=16, nprobe=2, k=10, num_subspaces=64, codebook_size=512
         )
         with pytest.raises(ValueError, match="WRAM"):
-            DrimAnnEngine.build(small_ds.base[:2000], params, seed=0)
+            DrimAnnEngine.from_config(
+                small_ds.base[:2000],
+                EngineConfig(index=params),
+                seed=0,
+            )
 
     def test_nlist_mismatch_rejected(self, small_ds, small_quantized):
         params = IndexParams(nlist=32, nprobe=4, k=10, num_subspaces=16, codebook_size=64)
         with pytest.raises(ValueError, match="nlist"):
-            DrimAnnEngine.build(
-                small_ds.base, params, prebuilt_quantized=small_quantized, seed=0
+            DrimAnnEngine.from_config(
+                small_ds.base,
+                EngineConfig(index=params),
+                prebuilt_quantized=small_quantized,
+                seed=0,
             )
 
 
@@ -59,11 +67,13 @@ class TestSearchCorrectness:
             LayoutConfig(min_split_size=150, max_copies=2),
             LayoutConfig(min_split_size=None, max_copies=0, allocation="id_order"),
         ):
-            eng = DrimAnnEngine.build(
+            eng = DrimAnnEngine.from_config(
                 small_ds.base,
-                small_params,
-                system_config=PimSystemConfig(num_dpus=8),
-                layout_config=cfg,
+                EngineConfig(
+                    index=small_params,
+                    system=PimSystemConfig(num_dpus=8),
+                    layout=cfg,
+                ),
                 prebuilt_quantized=small_quantized,
                 seed=0,
             )
@@ -77,11 +87,13 @@ class TestSearchCorrectness:
         engines = []
         for bs in (16, 64):
             engines.append(
-                DrimAnnEngine.build(
+                DrimAnnEngine.from_config(
                     small_ds.base,
-                    small_params,
-                    search_params=SearchParams(batch_size=bs),
-                    system_config=PimSystemConfig(num_dpus=8),
+                    EngineConfig(
+                        index=small_params,
+                        search=SearchParams(batch_size=bs),
+                        system=PimSystemConfig(num_dpus=8),
+                    ),
                     prebuilt_quantized=small_quantized,
                     seed=0,
                 )
@@ -120,11 +132,13 @@ class TestTiming:
     ):
         times = {}
         for ml in (True, False):
-            eng = DrimAnnEngine.build(
+            eng = DrimAnnEngine.from_config(
                 small_ds.base,
-                small_params,
-                search_params=SearchParams(multiplier_less=ml),
-                system_config=PimSystemConfig(num_dpus=8),
+                EngineConfig(
+                    index=small_params,
+                    search=SearchParams(multiplier_less=ml),
+                    system=PimSystemConfig(num_dpus=8),
+                ),
                 prebuilt_quantized=small_quantized,
                 seed=0,
             )
@@ -137,10 +151,12 @@ class TestTiming:
     ):
         times = {}
         for scale in (1.0, 5.0):
-            eng = DrimAnnEngine.build(
+            eng = DrimAnnEngine.from_config(
                 small_ds.base,
-                small_params,
-                system_config=PimSystemConfig(num_dpus=8).with_compute_scale(scale),
+                EngineConfig(
+                    index=small_params,
+                    system=PimSystemConfig(num_dpus=8).with_compute_scale(scale),
+                ),
                 prebuilt_quantized=small_quantized,
                 seed=0,
             )

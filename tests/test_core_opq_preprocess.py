@@ -64,17 +64,19 @@ class TestGeometry:
 
 class TestEngineIntegration:
     def test_opq_engine_matches_its_reference(self, small_ds):
-        from repro.core import DrimAnnEngine, IndexParams
+        from repro.core import DrimAnnEngine, EngineConfig, IndexParams
         from repro.pim.config import PimSystemConfig
 
         params = IndexParams(
             nlist=32, nprobe=4, k=10, num_subspaces=16, codebook_size=32
         )
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base[:5000],
-            params,
-            system_config=PimSystemConfig(num_dpus=8),
-            use_opq=True,
+            EngineConfig(
+                index=params,
+                system=PimSystemConfig(num_dpus=8),
+                use_opq=True,
+            ),
             seed=0,
         )
         assert eng.preprocessor is not None
@@ -86,13 +88,15 @@ class TestEngineIntegration:
         )
 
     def test_opq_with_prebuilt_rejected(self, small_ds, small_quantized, small_params):
-        from repro.core import DrimAnnEngine
+        from repro.core import DrimAnnEngine, EngineConfig
 
         with pytest.raises(ValueError, match="use_opq"):
-            DrimAnnEngine.build(
+            DrimAnnEngine.from_config(
                 small_ds.base,
-                small_params,
-                use_opq=True,
+                EngineConfig(
+                    index=small_params,
+                    use_opq=True,
+                ),
                 prebuilt_quantized=small_quantized,
                 seed=0,
             )

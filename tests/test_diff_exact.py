@@ -135,3 +135,52 @@ class TestPlanEquivalence:
 
         with pytest.raises(ValueError, match="plan"):
             SearchParams(plan="bogus")
+
+
+class TestDuplicateVectorTies:
+    """Exact duplicates tie at the k-th distance inside a shard; the
+    per-shard top-k must keep the canonical (distance, id) members, or
+    the merged result differs from the host reference by id."""
+
+    @pytest.fixture(scope="class")
+    def dup_engine(self, small_ds):
+        from repro.core import (
+            DrimAnnEngine,
+            EngineConfig,
+            IndexParams,
+            LayoutConfig,
+        )
+        from repro.pim.config import PimSystemConfig
+
+        rng = np.random.default_rng(0)
+        base = np.tile(small_ds.base[:2000], (7, 1))
+        base = base[rng.permutation(len(base))]
+        config = EngineConfig(
+            index=IndexParams(
+                nlist=32, nprobe=4, k=10, num_subspaces=16, codebook_size=64
+            ),
+            system=PimSystemConfig(num_dpus=8),
+            layout=LayoutConfig(min_split_size=200, max_copies=2),
+        )
+        return DrimAnnEngine.from_config(base, config, seed=0)
+
+    @pytest.mark.parametrize(
+        "execution, adaptive",
+        [
+            ("batched", "off"),
+            ("chunked", "off"),
+            ("per_query", "off"),
+            ("batched", "bound"),
+        ],
+    )
+    def test_matches_reference_ids(
+        self, dup_engine, small_ds, execution, adaptive
+    ):
+        queries = small_ds.queries[:60]
+        ref = dup_engine.reference_search(queries)
+        res, _ = dup_engine.search(
+            queries, execution=execution, adaptive=adaptive
+        )
+        np.testing.assert_array_equal(res.distances, ref.distances)
+        mismatched = int((res.ids != ref.ids).any(axis=1).sum())
+        assert mismatched == 0, f"{mismatched} of 60 rows differ by id"

@@ -71,6 +71,34 @@ class TestReadme:
             assert os.path.exists(os.path.join(ROOT, f))
 
 
+class TestRemovedApis:
+    """Docs, examples, and benchmarks must not name deleted APIs."""
+
+    REMOVED = (
+        "DrimAnnEngine.build(",
+        "save_quantized",
+        "load_quantized",
+        "repro build ",
+    )
+
+    def _files(self):
+        yield "README.md"
+        for top in ("docs", "examples", "benchmarks"):
+            for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
+                for name in sorted(names):
+                    if name.endswith((".md", ".py")):
+                        yield os.path.relpath(os.path.join(dirpath, name), ROOT)
+
+    def test_no_removed_api_named(self):
+        hits = [
+            f"{path}: {token}"
+            for path in self._files()
+            for token in self.REMOVED
+            if token in _read(path)
+        ]
+        assert not hits, "removed APIs still named:\n" + "\n".join(hits)
+
+
 class TestAdaptiveDocs:
     """The adaptive-probing surface must stay documented end to end."""
 

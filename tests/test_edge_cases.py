@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ann import IVFPQIndex
-from repro.core import DrimAnnEngine, IndexParams, LayoutConfig
+from repro.core import DrimAnnEngine, EngineConfig, IndexParams, LayoutConfig
 from repro.core.layout import generate_layout
 from repro.core.quantized import build_quantized_index
 from repro.pim.config import DpuConfig, PimSystemConfig
@@ -30,10 +30,12 @@ class TestEmptyClusters:
             idx.ivf.lists[v] = np.empty(0, dtype=np.int64)
             idx.codes[v] = np.empty((0, 16), dtype=idx.codes[v].dtype)
         quant = build_quantized_index(idx)
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             base,
-            params,
-            system_config=PimSystemConfig(num_dpus=4),
+            EngineConfig(
+                index=params,
+                system=PimSystemConfig(num_dpus=4),
+            ),
             prebuilt_quantized=quant,
             seed=0,
         )
@@ -50,10 +52,12 @@ class TestEmptyClusters:
 
 class TestExtremeShapes:
     def test_single_dpu(self, small_ds, small_quantized, small_params):
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            system_config=PimSystemConfig(num_dpus=1),
+            EngineConfig(
+                index=small_params,
+                system=PimSystemConfig(num_dpus=1),
+            ),
             prebuilt_quantized=small_quantized,
             seed=0,
         )
@@ -65,11 +69,13 @@ class TestExtremeShapes:
         assert bd.mean_busy_fraction == pytest.approx(1.0)
 
     def test_more_dpus_than_shards(self, small_ds, small_quantized, small_params):
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            system_config=PimSystemConfig(num_dpus=256),
-            layout_config=LayoutConfig(min_split_size=None, max_copies=0),
+            EngineConfig(
+                index=small_params,
+                system=PimSystemConfig(num_dpus=256),
+                layout=LayoutConfig(min_split_size=None, max_copies=0),
+            ),
             prebuilt_quantized=small_quantized,
             seed=0,
         )
@@ -92,10 +98,12 @@ class TestExtremeShapes:
         params = IndexParams(
             nlist=64, nprobe=64, k=10, num_subspaces=16, codebook_size=64
         )
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base,
-            params,
-            system_config=PimSystemConfig(num_dpus=8),
+            EngineConfig(
+                index=params,
+                system=PimSystemConfig(num_dpus=8),
+            ),
             prebuilt_quantized=small_quantized,
             seed=0,
         )
@@ -112,11 +120,13 @@ class TestCapacityFailures:
         params = IndexParams(nlist=4, nprobe=2, k=5, num_subspaces=16, codebook_size=16)
         tiny_dpu = DpuConfig(mram_bytes=64 * 1024)  # 64 KB MRAM
         with pytest.raises(CapacityError):
-            DrimAnnEngine.build(
+            DrimAnnEngine.from_config(
                 small_ds.base[:5000],
-                params,
-                system_config=PimSystemConfig(num_dpus=2, dpu=tiny_dpu),
-                layout_config=LayoutConfig(min_split_size=None, max_copies=0),
+                EngineConfig(
+                    index=params,
+                    system=PimSystemConfig(num_dpus=2, dpu=tiny_dpu),
+                    layout=LayoutConfig(min_split_size=None, max_copies=0),
+                ),
                 seed=0,
             )
 
@@ -167,10 +177,12 @@ class TestDtypeRobustness:
         params = IndexParams(
             nlist=16, nprobe=4, k=5, num_subspaces=8, codebook_size=512
         )
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base[:4000],
-            params,
-            system_config=PimSystemConfig(num_dpus=4),
+            EngineConfig(
+                index=params,
+                system=PimSystemConfig(num_dpus=4),
+            ),
             seed=0,
         )
         codes_dtype = eng.quantized.cluster_codes[0].dtype

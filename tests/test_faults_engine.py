@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DrimAnnEngine, LayoutConfig, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig, LayoutConfig, SearchParams
 from repro.faults import FaultConfig, FaultPlan
 from repro.pim.config import PimSystemConfig
 
@@ -11,15 +11,17 @@ NUM_DPUS = 16
 @pytest.fixture(scope="module")
 def build_engine(small_ds, small_quantized, small_params):
     def build(fault_plan=None, max_copies=2, **kw):
-        return DrimAnnEngine.build(
+        return DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            search_params=kw.pop("search_params", SearchParams(batch_size=64)),
-            system_config=PimSystemConfig(num_dpus=NUM_DPUS),
-            layout_config=LayoutConfig(min_split_size=400, max_copies=max_copies),
+            EngineConfig(
+                index=small_params,
+                search=kw.pop("search_params", SearchParams(batch_size=64)),
+                system=PimSystemConfig(num_dpus=NUM_DPUS),
+                layout=LayoutConfig(min_split_size=400, max_copies=max_copies),
+                faults=fault_plan,
+            ),
             heat_queries=small_ds.queries[:50],
             prebuilt_quantized=small_quantized,
-            fault_plan=fault_plan,
             seed=0,
             **kw,
         )

@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     BatchingPolicy,
     DrimAnnEngine,
+    EngineConfig,
     LayoutConfig,
     SearchParams,
     simulate_serving,
@@ -125,15 +126,17 @@ class TestFaultAggregation:
             config=FaultConfig(fail_stop_fraction=0.1),
             fail_at_batch={3: 0},
         )
-        return DrimAnnEngine.build(
+        return DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            search_params=SearchParams(batch_size=32),
-            system_config=PimSystemConfig(num_dpus=16),
-            layout_config=LayoutConfig(min_split_size=400, max_copies=2),
+            EngineConfig(
+                index=small_params,
+                search=SearchParams(batch_size=32),
+                system=PimSystemConfig(num_dpus=16),
+                layout=LayoutConfig(min_split_size=400, max_copies=2),
+                faults=plan,
+            ),
             heat_queries=small_ds.queries[:50],
             prebuilt_quantized=small_quantized,
-            fault_plan=plan,
             seed=0,
         )
 

@@ -73,16 +73,6 @@ class TestObsConfig:
 
 
 class TestDeprecationShim:
-    def test_build_warns(self, small_ds, small_quantized, small_params):
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            DrimAnnEngine.build(
-                small_ds.base,
-                small_params,
-                system_config=PimSystemConfig(num_dpus=NUM_DPUS),
-                prebuilt_quantized=small_quantized,
-                seed=0,
-            )
-
     def test_from_config_is_quiet(self, small_ds, small_quantized, small_params):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -91,17 +81,18 @@ class TestDeprecationShim:
     def test_shim_and_from_config_agree(
         self, small_ds, small_quantized, small_params, plain_engine
     ):
-        with pytest.warns(DeprecationWarning):
-            old = DrimAnnEngine.build(
-                small_ds.base,
-                small_params,
-                search_params=SearchParams(batch_size=64),
-                system_config=PimSystemConfig(num_dpus=NUM_DPUS),
-                layout_config=LayoutConfig(min_split_size=400, max_copies=2),
-                heat_queries=small_ds.queries[:50],
-                prebuilt_quantized=small_quantized,
-                seed=0,
-            )
+        old = DrimAnnEngine.from_config(
+            small_ds.base,
+            EngineConfig(
+                index=small_params,
+                search=SearchParams(batch_size=64),
+                system=PimSystemConfig(num_dpus=NUM_DPUS),
+                layout=LayoutConfig(min_split_size=400, max_copies=2),
+            ),
+            heat_queries=small_ds.queries[:50],
+            prebuilt_quantized=small_quantized,
+            seed=0,
+        )
         q = small_ds.queries[:40]
         a, _ = old.search(q)
         b, _ = plain_engine.search(q)

@@ -1,5 +1,5 @@
 """The v2 ``DRIMIDX2`` on-disk format: round trips, zero-copy loads,
-validation, tooling (`index_info`/`verify_index`), shims, and the
+validation, tooling (`index_info`/`verify_index`), v1 back-compat, and the
 crash-safety windows exposed through :mod:`repro.faults.disk`.
 """
 
@@ -17,9 +17,7 @@ from repro.core.persist import (
     index_info,
     load_index,
     load_index_bundle,
-    load_quantized,
     save_index,
-    save_quantized,
     verify_index,
     write_v1,
 )
@@ -170,27 +168,10 @@ class TestBackCompat:
         with pytest.raises(ValueError, match="tombstone"):
             write_v1(quant, str(tmp_path / "t.npz"))
 
-    def test_save_quantized_shim_warns_and_writes_v1(
-        self, small_quantized, tmp_path
-    ):
-        path = str(tmp_path / "index.npz")
-        with pytest.warns(DeprecationWarning, match="save_index"):
-            save_quantized(small_quantized, path)
-        _assert_same_index(load_index(path), small_quantized)
-
-    def test_load_quantized_shim_warns_and_reads_both(
-        self, small_quantized, tmp_path
-    ):
-        v2 = str(tmp_path / "index.drim")
-        save_index(small_quantized, v2)
-        with pytest.warns(DeprecationWarning, match="load_index"):
-            back = load_quantized(v2)
-        _assert_same_index(back, small_quantized)
-
     def test_public_shims_do_not_warn_on_import(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            from repro.core import load_quantized as _  # noqa: F401
+            from repro.core import load_index as _  # noqa: F401
 
 
 class TestOffsetValidation:

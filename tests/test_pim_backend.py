@@ -203,25 +203,26 @@ class TestScanTopk:
             assert np.array_equal(gd, wd)
 
     def test_chunked_equals_unchunked_unique_distances(self):
-        """With untied distances the chunked merge must equal the
-        full-matrix path exactly, for any chunk size."""
+        """The chunked merge must equal the full-matrix path exactly,
+        for any chunk size — with untied distances and with heavy ties
+        (both rank by the canonical (distance, id) order)."""
         rng = _rng(6)
         g, n, k = 3, 700, 16
-        # One subspace, codes a permutation of the codebook, distinct
-        # LUT values: every row's distances are a permutation, so the
-        # total order is untied by construction.
-        luts = rng.permutation(g * n).reshape(g, 1, n).astype(np.int64)
+        # One subspace, codes a permutation of the codebook. Distinct
+        # LUT values make every row's distances a permutation (untied);
+        # LUT values drawn from a small range tie at every rank.
+        untied = rng.permutation(g * n).reshape(g, 1, n).astype(np.int64)
+        tied = rng.integers(0, 8, size=(g, 1, n)).astype(np.int64)
         codes = rng.permutation(n).astype(np.uint16).reshape(n, 1)
-        dists = scan_distances(luts, codes)
-        assert all(len(np.unique(row)) == len(row) for row in dists)
         ids = rng.permutation(n).astype(np.int64)
         backend = resolve_backend("numpy")
-        want = topk_rows(dists, ids, k)
-        for n_chunk in (64, 128, 699, 700):
-            got = _scan_topk_chunked(backend, luts, codes, ids, k, n_chunk)
-            for (gi, gd), (wi, wd) in zip(got, want):
-                assert np.array_equal(gi, wi)
-                assert np.array_equal(gd, wd)
+        for luts in (untied, tied):
+            want = topk_rows(scan_distances(luts, codes), ids, k)
+            for n_chunk in (64, 128, 699, 700):
+                got = _scan_topk_chunked(backend, luts, codes, ids, k, n_chunk)
+                for (gi, gd), (wi, wd) in zip(got, want):
+                    assert np.array_equal(gi, wi)
+                    assert np.array_equal(gd, wd)
 
     def test_threshold_routes_to_chunked(self):
         assert SCAN_TOPK_N_CHUNK == 1 << 16

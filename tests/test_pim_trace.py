@@ -130,13 +130,15 @@ class TestTracerWithSystem:
 
 class TestEngineIntegration:
     def test_engine_with_tracer(self, small_ds, small_quantized, small_params):
-        from repro.core import DrimAnnEngine
+        from repro.core import DrimAnnEngine, EngineConfig
 
         tracer = Tracer()
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            system_config=PimSystemConfig(num_dpus=4),
+            EngineConfig(
+                index=small_params,
+                system=PimSystemConfig(num_dpus=4),
+            ),
             prebuilt_quantized=small_quantized,
             tracer=tracer,
             seed=0,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ann import IVFPQIndex
-from repro.core import DrimAnnEngine, IndexParams, LayoutConfig, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig, IndexParams, LayoutConfig, SearchParams
 from repro.core.quantized import build_quantized_index
 from repro.pim.config import PimSystemConfig
 
@@ -55,15 +55,17 @@ def test_engine_equals_reference_for_any_configuration(tiny_corpus, cfg):
         num_subspaces=4,
         codebook_size=16,
     )
-    engine = DrimAnnEngine.build(
+    engine = DrimAnnEngine.from_config(
         base,
-        params,
-        search_params=SearchParams(
-            batch_size=cfg["batch_size"], multiplier_less=cfg["multiplier_less"]
-        ),
-        system_config=PimSystemConfig(num_dpus=cfg["num_dpus"]),
-        layout_config=LayoutConfig(
-            min_split_size=cfg["min_split"], max_copies=cfg["max_copies"]
+        EngineConfig(
+            index=params,
+            search=SearchParams(
+                batch_size=cfg["batch_size"], multiplier_less=cfg["multiplier_less"]
+            ),
+            system=PimSystemConfig(num_dpus=cfg["num_dpus"]),
+            layout=LayoutConfig(
+                min_split_size=cfg["min_split"], max_copies=cfg["max_copies"]
+            ),
         ),
         prebuilt_quantized=quant,
         seed=cfg["seed"],
