@@ -51,6 +51,7 @@ from repro.cluster.index import ClusterIndex
 from repro.core.adaptive import probe_budgets
 from repro.core.params import ADAPTIVE_MODES, DatasetShape
 from repro.core.perf_model import AnalyticPerfModel, HardwareProfile
+from repro.core.square_lut import check_finite_queries
 from repro.faults.plan import NodeFaultPlan
 from repro.obs.observer import EngineObserver
 from repro.utils import (
@@ -465,8 +466,10 @@ class ClusterFrontend:
         shard's skip decisions are locally conservative, and therefore
         globally safe, because its pool is a subset of the global one.
         ``"bound"`` alone keeps results bit-identical to ``adaptive=None``.
+        Queries follow :meth:`DrimAnnEngine.search`'s domain: out-of-domain
+        input raises :class:`~repro.core.square_lut.QueryDomainError`.
         """
-        queries = check_2d(queries, "queries")
+        queries = check_finite_queries(check_2d(queries, "queries"))
         if queries.shape[1] != self.cluster.router.dim:
             raise ValueError(
                 f"query dim {queries.shape[1]} != "

@@ -19,7 +19,7 @@
   ``DrimAnnEngine.save``/``load``.
 """
 
-from repro.core.square_lut import SquareLut
+from repro.core.square_lut import QueryDomainError, SquareLut
 from repro.core.config import EngineConfig
 from repro.core.params import IndexParams, SearchParams, DatasetShape
 from repro.core.results import SearchOutcome, ServingOutcome
@@ -52,6 +52,7 @@ from repro.core.autotune import BatchTuneResult, tune_batch_size
 from repro.core.frontier import FrontierPoint, knee_point, pareto_frontier
 
 __all__ = [
+    "QueryDomainError",
     "SquareLut",
     "EngineConfig",
     "SearchOutcome",

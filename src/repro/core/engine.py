@@ -57,7 +57,7 @@ from repro.core.persist import load_index_bundle, save_index
 from repro.core.quantized import QuantizedIndexData, build_quantized_index
 from repro.core.results import SearchOutcome
 from repro.core.scheduler import RuntimeScheduler
-from repro.core.square_lut import SquareLut
+from repro.core.square_lut import SquareLut, check_finite_queries
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultStats
 from repro.obs.observer import EngineObserver
@@ -318,7 +318,7 @@ class DrimAnnEngine:
         sees the new sizes. Returns the assigned point ids.
         """
         self._check_loaded()
-        vectors = check_2d(vectors, "vectors")
+        vectors = check_finite_queries(check_2d(vectors, "vectors"), "vectors")
         if self.preprocessor is not None:
             vectors = self.preprocessor.transform(vectors)
         old_sizes = self.quantized.cluster_sizes()
@@ -875,9 +875,17 @@ class DrimAnnEngine:
         queries return the partial top-k that could be computed, and
         ``breakdown.faults`` carries per-query coverage plus the
         ``degraded`` flag (the engine never raises on a fault).
+
+        Query domain: queries are cast to integers as the DPUs see them.
+        Fractional values truncate toward zero and negative values pass,
+        as long as every LC operand (query - centroid - codebook) stays
+        within the square LUT's ±765. Non-finite queries, and queries
+        whose operands leave that range, raise
+        :class:`~repro.core.square_lut.QueryDomainError` whether or not
+        ``multiplier_less`` is set.
         """
         self._check_loaded()
-        queries = check_2d(queries, "queries")
+        queries = check_finite_queries(check_2d(queries, "queries"))
         if queries.shape[1] != self.quantized.dim:
             raise ValueError(
                 f"query dim {queries.shape[1]} != index dim {self.quantized.dim}"

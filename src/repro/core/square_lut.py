@@ -16,7 +16,8 @@ per-task ADC LUT. For 16-bit operands the full table (256 K entries ×
 values resident and constructs the rest on demand, which
 :meth:`SquareLut.partial` models: lookups outside the resident range
 are still functionally exact but are charged as misses (extra MRAM
-traffic) by the LC kernel.
+traffic) by the LC kernel. Queries outside this integer domain raise
+:class:`QueryDomainError`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,18 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+
+
+class QueryDomainError(ValueError):
+    """A query lies outside the integer domain the modeled DPUs compute on."""
+
+
+def check_finite_queries(queries: np.ndarray, name: str = "queries") -> np.ndarray:
+    """Reject NaN/inf before any integer cast; returns the array."""
+    queries = np.asarray(queries)
+    if np.issubdtype(queries.dtype, np.inexact) and not np.isfinite(queries).all():
+        raise QueryDomainError(f"{name} contain non-finite values")
+    return queries
 
 
 @dataclass

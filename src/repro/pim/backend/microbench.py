@@ -37,6 +37,9 @@ LUT_SHAPE = {"g": 64, "m": 16, "cb": 128, "dsub": 8}
 #: reference by at least this factor at bit-identical output.
 MIN_SCAN_SPEEDUP = 3.0
 
+#: The same gate for the best backend's LUT build.
+MIN_LUT_SPEEDUP = 5.0
+
 
 def _best_seconds(fn: Callable[[], Any], repeats: int) -> float:
     """Best-of-N wall-clock for a timing harness.
@@ -68,9 +71,10 @@ def run_microbench(
     """Measure every available backend; return the machine-readable record.
 
     The record's ``gate_ok`` is True when the best backend clears
-    :data:`MIN_SCAN_SPEEDUP` on the stacked scan with bit-equal
-    output; ``backends[name]["bit_identical"]`` must be True for every
-    backend regardless (a mismatch fails the gate outright).
+    :data:`MIN_SCAN_SPEEDUP` on the stacked scan and
+    :data:`MIN_LUT_SPEEDUP` on the LUT build, with bit-equal output;
+    ``backends[name]["bit_identical"]`` must be True for every backend
+    regardless (a mismatch fails the gate outright).
     """
     rng = ensure_rng(seed)
     sh = SCAN_SHAPE
@@ -103,6 +107,7 @@ def run_microbench(
         "lut_shape": dict(lh),
         "repeats": repeats,
         "min_scan_speedup": MIN_SCAN_SPEEDUP,
+        "min_lut_speedup": MIN_LUT_SPEEDUP,
         "reference": {
             "scan_seconds": t_ref_scan,
             "lut_seconds": t_ref_luts,
@@ -110,6 +115,7 @@ def run_microbench(
         "backends": {},
         "best_backend": None,
         "best_scan_speedup": 0.0,
+        "best_lut_speedup": 0.0,
         "gate_ok": False,
     }
 
@@ -144,10 +150,13 @@ def run_microbench(
         if entry["scan_speedup"] > record["best_scan_speedup"]:
             record["best_scan_speedup"] = entry["scan_speedup"]
             record["best_backend"] = name
+        best_lut = max(record["best_lut_speedup"], entry["lut_speedup"])
+        record["best_lut_speedup"] = best_lut
 
     record["gate_ok"] = bool(
         all_bit_identical
         and record["best_scan_speedup"] >= MIN_SCAN_SPEEDUP
+        and record["best_lut_speedup"] >= MIN_LUT_SPEEDUP
     )
     return record
 
@@ -173,14 +182,17 @@ def format_record(record: Dict[str, Any]) -> str:
     lines.append(
         f"best: {record['best_backend']} at "
         f"{record['best_scan_speedup']:.2f}x "
-        f"(gate >= {record['min_scan_speedup']:.1f}x: "
-        f"{'OK' if record['gate_ok'] else 'FAIL'})"
+        f"(gate >= {record['min_scan_speedup']:.1f}x); best lut "
+        f"{record['best_lut_speedup']:.2f}x "
+        f"(gate >= {record['min_lut_speedup']:.1f}x): "
+        f"{'OK' if record['gate_ok'] else 'FAIL'}"
     )
     return "\n".join(lines)
 
 
 __all__ = [
     "LUT_SHAPE",
+    "MIN_LUT_SPEEDUP",
     "MIN_SCAN_SPEEDUP",
     "SCAN_SHAPE",
     "format_record",

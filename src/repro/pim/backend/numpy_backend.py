@@ -12,7 +12,9 @@ Same math as the reference kernels in
   the gathers run on an int32 copy of the LUTs, halving gather
   traffic; the accumulator stays int64 so the sums are exact;
 * tiny jobs (``g * n`` below :data:`FUSED_MIN_CELLS`) keep the staged
-  reference path, where one big gather beats M small ones.
+  reference path, where one big gather beats M small ones;
+* the LUT build is ``||r||^2 - 2 r.c + ||c||^2`` with one float64 GEMM
+  per subspace, exact for small-integer operands (int64 einsum beyond).
 
 Every variant computes the identical int64 sums (integer addition is
 exact and order-independent), so the outputs are bit-identical to the
@@ -119,8 +121,19 @@ class NumpyBackend(KernelBackend):
                 f"residuals must be (g, {m * dsub}), got {residuals.shape}"
             )
         g = residuals.shape[0]
-        r = residuals.astype(np.int64).reshape(g, m, 1, dsub)
-        diff = r - codebooks.astype(np.int64)
-        # Exact int64 contraction — identical values to
-        # (diff * diff).sum(axis=3) without the squares temporary.
-        return np.einsum("gmcd,gmcd->gmc", diff, diff)
+        a = max(-int(residuals.min(initial=0)), int(residuals.max(initial=0)))
+        b = max(-int(codebooks.min(initial=0)), int(codebooks.max(initial=0)))
+        # Every term and partial sum of the expanded form is an integer
+        # of magnitude at most dsub * (a + b)^2; below 2^53 float64 holds
+        # each one exactly in any summation order.
+        if dsub * (a + b) ** 2 >= 1 << 53:
+            r = residuals.astype(np.int64).reshape(g, m, 1, dsub)
+            diff = r - codebooks.astype(np.int64)
+            return np.einsum("gmcd,gmcd->gmc", diff, diff)
+        r = residuals.astype(np.float64).reshape(g, m, dsub).transpose(1, 0, 2)
+        c = codebooks.astype(np.float64)
+        out = np.matmul(r, c.transpose(0, 2, 1))
+        out *= -2.0
+        out += np.einsum("mgd,mgd->mg", r, r)[:, :, None]
+        out += np.einsum("mcd,mcd->mc", c, c)[:, None, :]
+        return out.transpose(1, 0, 2).astype(np.int64, order="C")

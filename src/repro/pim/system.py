@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.square_lut import SquareLut
+from repro.core.square_lut import QueryDomainError, SquareLut
 from repro.faults.plan import FaultPlan
 from repro.pim.backend import (
     KernelBackend,
@@ -58,10 +58,13 @@ from repro.pim.parallel import (
 )
 from repro.pim.transfer import HostTransferModel
 
-#: Byte budget for one LC diff tensor chunk in the batched LUT builder;
-#: bounds transient memory without affecting results (the build is
-#: pair-independent).
+#: Byte budget for one chunk of (query, centroid) pairs in the round's
+#: LUT build, counted as the chunk's int64 diff tensor; bounds transient
+#: memory without affecting results (the build is pair-independent).
 _LUT_CHUNK_BYTES = 32 * 1024 * 1024
+
+#: LC operand bound (query - centroid - codebook) without a square LUT.
+_LC_OPERAND_MAX_ABS = 3 * 255
 
 
 @dataclass
@@ -135,6 +138,7 @@ class PimSystem:
         # share, which is exact (the LUT depends only on the centroid).
         self._cent_id_of: Dict[bytes, int] = {}
         self._centroid_by_id: List[np.ndarray] = []
+        self._cent_table: Optional[np.ndarray] = None  # stacked int32
         self._shard_cent: Dict[str, int] = {}
         # Opt-in worker pool for the functional shard scans, plus the
         # per-round serial/vectorized/pool strategy chooser. The
@@ -155,7 +159,8 @@ class PimSystem:
         self._live_rows: Dict[str, Optional[np.ndarray]] = {}
         self._live_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self.codebooks: Optional[np.ndarray] = None
-        self._codebooks64: Optional[np.ndarray] = None
+        # int64 codebooks with their per-(subspace, dim) min and max.
+        self._codebooks64: Optional[Tuple[np.ndarray, ...]] = None
         self.square_lut: Optional[SquareLut] = None
         self.tracer = tracer
         # Optional repro.obs.EngineObserver; None costs one check per site.
@@ -219,6 +224,7 @@ class PimSystem:
             cent_id = len(self._centroid_by_id)
             self._cent_id_of[cent_key] = cent_id
             self._centroid_by_id.append(np.asarray(shard.centroid))
+            self._cent_table = None
         self._shard_cent[shard.shard_key] = cent_id
         # Placement changes invalidate the worker pool's zero-copy
         # residency; it is re-hosted on the next pool round.
@@ -514,7 +520,7 @@ class PimSystem:
             for skey, qidxs in by_shard.items():
                 groups.append((dpu_id, skey, qidxs))
 
-        # ---- functional pass: vectorized RC+LC per centroid, DC+TS
+        # ---- functional pass: one RC+LC build per round, DC+TS
         # per shard group via the planner-chosen path (serial loop,
         # stacked cross-DPU NumPy calls, or worker processes).
         group_rows, group_misses = self._run_groups_functional(
@@ -630,14 +636,17 @@ class PimSystem:
         fault_active: bool = False,
         backend: Optional[KernelBackend] = None,
     ) -> Tuple[List[list], List[int]]:
-        """Numeric results for every shard group, vectorized per centroid.
+        """Numeric results for every shard group, LUTs built per round.
 
-        RC and LC run once per unique (query, centroid) pair — parts
-        and replicas of a cluster reuse the same LUT rows instead of
-        rebuilding them per shard — and DC/TS run per shard group over
-        all of its queries at once, on the data-plane path the planner
-        picks for this round (serial per-group loop, stacked cross-DPU
-        NumPy calls, or the worker pool). Integer math makes every path
+        RC and LC run once per unique (query, centroid) pair of the
+        round — parts and replicas of a cluster reuse the same LUT rows
+        instead of rebuilding them per shard — as one backend LUT build
+        over the round's pairs, streamed in chunks of at most
+        :data:`_LUT_CHUNK_BYTES`. Each centroid's shard groups are
+        scanned (DC/TS over all of a group's queries at once) as soon as
+        its last pair is built, on the data-plane path the planner picks
+        for this round (serial per-group loop, stacked cross-DPU NumPy
+        calls, or the worker pool). Integer math makes every path
         bit-identical to per-group recomputation.
 
         Returns per-group result rows and per-group square-LUT miss
@@ -645,15 +654,13 @@ class PimSystem:
         """
         if backend is None:
             backend = resolve_backend(self.config.kernel_backend)
+        m, cb, dsub = self.codebooks.shape
         # One strategy decision per round, from the round's measured
-        # size; the per-centroid dispatch below then applies it while
-        # keeping the centroid-major LUT memory bound.
+        # size; every chunk's scan dispatch below applies it.
         path = "serial"
         scan_points = 0
         if groups:
             num_jobs = 0
-            scan_points = 0
-            m = self.codebooks.shape[0]
             for _, skey, qidxs in groups:
                 n = self._live_count(skey, self._shards[skey][1])
                 if n:
@@ -672,47 +679,69 @@ class PimSystem:
             if self.observer is not None:
                 self.observer.on_plan_decision(path)
 
-        # Centroid-major consumption order bounds LUT memory to one
-        # centroid's pairs at a time regardless of how its shard groups
-        # interleave across DPUs.
+        # Unique (query, centroid) pairs in centroid-major, first-use
+        # order. LUTs stream in chunks and a centroid's groups are
+        # scanned once its last pair is built, so one chunk plus one
+        # centroid's rows of LUTs are live at any batch size.
         cent_groups: Dict[int, List[int]] = {}
         for gi, (_, skey, _) in enumerate(groups):
             cent_groups.setdefault(self._shard_cent[skey], []).append(gi)
+        pair_q: List[int] = []
+        pair_c: List[int] = []
+        cents: List[Tuple[List[int], Dict[int, int], int]] = []
+        for cent_id, gis in cent_groups.items():
+            row_of: Dict[int, int] = {}
+            for gi in gis:
+                for qidx in groups[gi][2]:
+                    if qidx not in row_of:
+                        row_of[qidx] = len(pair_q)
+                        pair_q.append(qidx)
+            pair_c += [cent_id] * len(row_of)
+            cents.append((gis, row_of, len(pair_q)))
 
         empty_row = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         group_rows: List[list] = [None] * len(groups)  # type: ignore[list-item]
         group_misses: List[int] = [0] * len(groups)
         scan_seconds = 0.0
-        for cent_id, gis in cent_groups.items():
-            # Unique queries probing this centroid, first-use order.
-            row_of: Dict[int, int] = {}
-            for gi in gis:
-                for qidx in groups[gi][2]:
-                    if qidx not in row_of:
-                        row_of[qidx] = len(row_of)
-            luts, pair_misses = self._build_cent_luts(
-                list(row_of),
-                self._centroid_by_id[cent_id],
-                queries,
-                sq,
-                backend=backend,
+        # Only a partial square-LUT window keeps the table gather, whose
+        # miss counts LC charging needs.
+        window = sq if sq is not None and sq.resident_max_abs < sq.max_abs else None
+        pair_misses = np.zeros(len(pair_q), dtype=np.int64)
+        chunk = max(1, _LUT_CHUNK_BYTES // (m * cb * dsub * 8))
+        pending: List[np.ndarray] = []  # built LUT rows from pair `base` on
+        base = ci = 0
+        for c0 in range(0, len(pair_q), chunk):
+            c1 = c0 + chunk
+            built, pair_misses[c0:c1] = self._build_pair_luts(
+                pair_q[c0:c1], pair_c[c0:c1], queries, window, backend
             )
+            pending.append(built)
+            if cents[ci][2] > c1:
+                continue
+            luts = np.concatenate(pending) if len(pending) > 1 else built
             jobs = []
             job_gis = []
-            for gi in gis:
-                qidxs = groups[gi][2]
-                skey = groups[gi][1]
-                shard = self._shards[skey][1]
-                group_misses[gi] = int(
-                    sum(pair_misses[row_of[q]] for q in qidxs)
-                )
-                codes_s, ids_s = self._scan_arrays(skey, shard)
-                if len(ids_s):
-                    luts_g = luts[[row_of[q] for q in qidxs]]
-                    jobs.append((luts_g, codes_s, ids_s, k))
-                    job_gis.append(gi)
-                else:
-                    group_rows[gi] = [empty_row] * len(qidxs)
+            for gis, row_of, end in cents[ci:]:
+                if end > c1:
+                    break
+                ci += 1
+                for gi in gis:
+                    _, skey, qidxs = groups[gi]
+                    rows = [row_of[q] for q in qidxs]
+                    if window is not None:
+                        group_misses[gi] = int(pair_misses[rows].sum())
+                    codes_s, ids_s = self._scan_arrays(
+                        skey, self._shards[skey][1]
+                    )
+                    if len(ids_s):
+                        rows = [r - base for r in rows]
+                        jobs.append((luts[rows], codes_s, ids_s, k))
+                        job_gis.append(gi)
+                    else:
+                        group_rows[gi] = [empty_row] * len(qidxs)
+            rest = luts[cents[ci - 1][2] - base :]
+            pending = [rest.copy()] if len(rest) else []
+            base = cents[ci - 1][2]
             if jobs:
                 t0 = time.perf_counter()
                 if path == "pool" and self.executor is not None:
@@ -735,8 +764,8 @@ class PimSystem:
                         for job in jobs
                     ]
                 scan_seconds += time.perf_counter() - t0
-                for gi, rows in zip(job_gis, results):
-                    group_rows[gi] = rows
+                for gi, res in zip(job_gis, results):
+                    group_rows[gi] = res
 
         # Measured rate feedback: plan="auto" arbitrates pool vs the
         # in-process (possibly compiled) path empirically once both
@@ -779,56 +808,51 @@ class PimSystem:
         )
         self._residency_dirty = False
 
-    def _build_cent_luts(
+    def _build_pair_luts(
         self,
         qidxs: List[int],
-        centroid: np.ndarray,
+        cent_ids: List[int],
         queries: np.ndarray,
-        sq: Optional[SquareLut],
-        backend: Optional[KernelBackend] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched RC+LC: LUTs for every (query, centroid) pair.
+        window: Optional[SquareLut],
+        backend: KernelBackend,
+    ) -> Tuple[np.ndarray, Union[np.ndarray, int]]:
+        """RC+LC for one chunk of (query, centroid) pairs.
 
         Identical integer math to ``run_residual`` + ``run_lut_build``,
-        chunked over pairs to bound the transient diff tensor. The
-        multiplier-less path keeps its square-LUT table gathers (the
-        miss accounting needs the diff tensor anyway); the plain
-        squaring path dispatches to the kernel backend's fused
-        :meth:`~repro.pim.backend.KernelBackend.build_luts` — exact
-        int64 either way. Returns ``(g, M, CB)`` int64 LUTs and
-        per-pair square-LUT miss counts.
+        as one residual gather and one exact
+        :meth:`~repro.pim.backend.KernelBackend.build_luts` call; a
+        partial square-LUT ``window`` keeps the table gather for its
+        misses. Returns ``(P, M, CB)`` int64 LUTs and per-pair misses
+        (0 without a window). Raises
+        :class:`~repro.core.square_lut.QueryDomainError` when an LC
+        operand leaves ``±max_abs``: the residuals' per-dimension min
+        (max) minus the codebooks' max (min) is exactly the full diff
+        tensor's min (max), checked in O(D).
         """
-        codebooks = self.codebooks
-        m, cb, dsub = codebooks.shape
-        d = m * dsub
-        # Widened copy cached across rounds (invalidated by
-        # load_codebooks); serving loops hit this every batch.
+        if self._cent_table is None:
+            self._cent_table = np.stack(self._centroid_by_id).astype(np.int32)
         if self._codebooks64 is None:
-            self._codebooks64 = codebooks.astype(np.int64)[None]
-        cb64 = self._codebooks64
-        g = len(qidxs)
-        luts = np.empty((g, m, cb), dtype=np.int64)
-        pair_misses = np.zeros(g, dtype=np.int64)
-        partial = sq is not None and sq.resident_max_abs < sq.max_abs
-        chunk = max(1, _LUT_CHUNK_BYTES // (d * cb * 8))
-        for c0 in range(0, g, chunk):
-            sel = qidxs[c0 : c0 + chunk]
-            residuals = queries[sel].astype(np.int32) - centroid.astype(np.int32)
-            if sq is None and backend is not None:
-                luts[c0 : c0 + chunk] = backend.build_luts(residuals, cb64[0])
-                continue
-            r = residuals.astype(np.int64).reshape(len(sel), m, 1, dsub)
-            diff = r - cb64
-            if sq is not None:
-                squares, _ = sq.square(diff)
-                if partial:
-                    pair_misses[c0 : c0 + chunk] = np.count_nonzero(
-                        np.abs(diff) > sq.resident_max_abs, axis=(1, 2, 3)
-                    )
-            else:
-                squares = diff * diff
-            luts[c0 : c0 + chunk] = squares.sum(axis=3)
-        return luts, pair_misses
+            cb64 = self.codebooks.astype(np.int64)
+            self._codebooks64 = (cb64, cb64.min(axis=1), cb64.max(axis=1))
+        cb64, cb_lo, cb_hi = self._codebooks64
+        m, _, dsub = cb64.shape
+        residuals = queries[qidxs].astype(np.int32) - self._cent_table[cent_ids]
+        lo = int((residuals.min(axis=0).reshape(m, dsub) - cb_hi).min())
+        hi = int((residuals.max(axis=0).reshape(m, dsub) - cb_lo).max())
+        bound = getattr(self.square_lut, "max_abs", _LC_OPERAND_MAX_ABS)
+        if lo < -bound or hi > bound:
+            raise QueryDomainError(
+                f"query out of range: LC operands span [{lo}, {hi}], "
+                f"beyond ±{bound}"
+            )
+        if window is None:
+            return backend.build_luts(residuals, cb64), 0
+        diff = residuals.astype(np.int64).reshape(len(qidxs), m, 1, dsub) - cb64
+        squares, _ = window.square(diff)
+        misses = np.count_nonzero(
+            np.abs(diff) > window.resident_max_abs, axis=(1, 2, 3)
+        )
+        return squares.sum(axis=3), misses
 
     def _charge_shard_group(
         self,

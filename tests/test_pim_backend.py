@@ -157,6 +157,45 @@ class TestBitExactness:
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dsub=st.sampled_from([1, 4, 8, 128]),
+        cb=st.sampled_from([4, 256, 300]),
+        m=st.integers(1, 3),
+        g=st.integers(1, 5),
+        lim=st.sampled_from([765, (1 << 16) - 1, (1 << 17) - 1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_build_luts_exact_at_corner_operands(
+        self, dsub, cb, m, g, lim, seed
+    ):
+        """Every backend's LUT build equals the int64 reference when the
+        operands sit at the domain corners: ±765 for 8-bit data, the
+        16-bit extremes below 2^17 (the GEMM's exactness bound)."""
+        rng = _rng(seed)
+        corners = np.array([-lim, lim, 0, -1, 1, -(lim // 2), lim // 2])
+        residuals = rng.choice(corners, size=(g, m * dsub))
+        codebooks = rng.choice(corners, size=(m, cb, dsub))
+        r = residuals.reshape(g, m, 1, dsub)
+        want = ((r - codebooks[None]) ** 2).sum(axis=3)
+        for name in available_backends():
+            got = resolve_backend(name).build_luts(
+                residuals.astype(np.int32), codebooks.astype(np.int32)
+            )
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_build_luts_exact_beyond_float_bound(self, name):
+        """Operands too wide for exact float64 GEMM take the int64 path."""
+        rng = _rng(5)
+        residuals = rng.integers(-(1 << 26), 1 << 26, size=(3, 16))
+        codebooks = rng.integers(-(1 << 26), 1 << 26, size=(2, 4, 8))
+        r = residuals.reshape(3, 2, 1, 8)
+        want = ((r - codebooks[None]) ** 2).sum(axis=3)
+        got = resolve_backend(name).build_luts(residuals, codebooks)
+        assert np.array_equal(got, want)
+
     @settings(max_examples=40, deadline=None)
     @given(
         g=st.integers(1, 6),

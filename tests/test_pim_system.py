@@ -143,3 +143,104 @@ class TestRunBatch:
         sys4.run_batch({0: [(0, "s0")]}, queries, k=3)
         sys4.reset_ledgers()
         assert all(d.total_cycles == 0 for d in sys4.dpus)
+
+
+class TestRoundLutChunking:
+    """The round's LUT build streams pairs in chunks; chunking (even one
+    pair per chunk, splitting every centroid) must be byte-invisible."""
+
+    def _run(self, monkeypatch, small_ds, small_quantized, small_params,
+             chunk_pairs, window):
+        import repro.pim.system as system_mod
+        from repro.core import DrimAnnEngine, EngineConfig, SearchParams
+        from repro.core.layout import LayoutConfig
+
+        if chunk_pairs is not None:
+            d = small_quantized.dim
+            cb = small_params.codebook_size
+            monkeypatch.setattr(
+                system_mod, "_LUT_CHUNK_BYTES", chunk_pairs * d * cb * 8
+            )
+        engine = DrimAnnEngine.from_config(
+            small_ds.base,
+            EngineConfig(
+                index=small_params,
+                search=SearchParams(batch_size=16),
+                system=PimSystemConfig(num_dpus=16),
+                layout=LayoutConfig(min_split_size=400, max_copies=2),
+            ),
+            prebuilt_quantized=small_quantized,
+            seed=0,
+        )
+        if window is not None:
+            engine.system.load_square_lut(
+                SquareLut.for_bit_width(8, levels=3).partial(window)
+            )
+        misses = []
+        charge = PimSystem._charge_shard_group
+
+        def spy(self, dpu, shard, g, k, sq, m, *args, **kwargs):
+            misses.append(m)
+            return charge(self, dpu, shard, g, k, sq, m, *args, **kwargs)
+
+        monkeypatch.setattr(PimSystem, "_charge_shard_group", spy)
+        res, _ = engine.search(small_ds.queries[:40], execution="batched")
+        ledger = [dict(d.cycles_by_kernel) for d in engine.system.dpus]
+        monkeypatch.undo()
+        return res.ids, res.distances, ledger, misses
+
+    @pytest.mark.parametrize("window", [None, 10])
+    @pytest.mark.parametrize("chunk_pairs", [1, 3])
+    def test_chunked_build_is_byte_equal(
+        self, monkeypatch, small_ds, small_quantized, small_params,
+        chunk_pairs, window,
+    ):
+        args = (monkeypatch, small_ds, small_quantized, small_params)
+        ids, dists, ledger, misses = self._run(*args, None, window)
+        c_ids, c_dists, c_ledger, c_misses = self._run(
+            *args, chunk_pairs, window
+        )
+        assert np.array_equal(c_ids, ids)
+        assert np.array_equal(c_dists, dists)
+        assert c_ledger == ledger
+        assert c_misses == misses
+        assert (sum(misses) > 0) == (window is not None)
+
+    @pytest.mark.parametrize("chunk_pairs", [None, 1, 2])
+    def test_window_misses_match_reference(self, monkeypatch, sys4, rng, chunk_pairs):
+        """Against the brute-force count: every group's misses are the
+        operands beyond the resident window over its own pairs, and the
+        partial window's results equal the full table's."""
+        import repro.pim.system as system_mod
+
+        if chunk_pairs is not None:
+            monkeypatch.setattr(
+                system_mod, "_LUT_CHUNK_BYTES", chunk_pairs * 32 * 16 * 8
+            )
+        queries = rng.integers(0, 255, size=(5, 32)).astype(np.uint8)
+        assignments = {
+            d: [(q, f"s{d}") for q in range(5) if (q + d) % 3] for d in range(4)
+        }
+        full, _ = sys4.run_batch(assignments, queries, k=4)
+        window = SquareLut.for_bit_width(8, levels=3).partial(10)
+        sys4.load_square_lut(window)
+        misses = {}
+        charge = PimSystem._charge_shard_group
+
+        def spy(self, dpu, shard, g, k, sq, m, detail, **kwargs):
+            misses[detail] = m
+            return charge(self, dpu, shard, g, k, sq, m, detail, **kwargs)
+
+        monkeypatch.setattr(PimSystem, "_charge_shard_group", spy)
+        part, _ = sys4.run_batch(assignments, queries, k=4)
+        books = sys4.codebooks.astype(np.int64)
+        for d, tasks in assignments.items():
+            cent = sys4.get_shard(f"s{d}").centroid.astype(np.int64)
+            r = queries[[q for q, _ in tasks]].astype(np.int64) - cent
+            diff = r.reshape(len(tasks), 8, 1, 4) - books
+            assert misses[f"s{d}"] == np.count_nonzero(np.abs(diff) > 10)
+        assert sum(misses.values()) > 0
+        for a, b in zip(full, part):
+            assert a.query_index == b.query_index
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a.distances, b.distances)
