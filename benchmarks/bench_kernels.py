@@ -10,8 +10,10 @@ charged from closed forms and cannot move).
 
 Run with ``--smoke`` as the CI kernel gate: every registered backend
 must be bit-identical to the staged reference, the best backend's
-stacked scan must clear ``MIN_SCAN_SPEEDUP`` (3x), and the best LUT
-build must clear ``MIN_LUT_SPEEDUP`` (5x). When numba is
+stacked scan must clear ``MIN_SCAN_SPEEDUP`` (3x), the best LUT
+build must clear ``MIN_LUT_SPEEDUP`` (5x), and the NumPy ragged round
+scan must beat the per-group loop by ``MIN_ROUND_SPEEDUP`` (1.5x).
+When numba is
 importable, the compiled backend must additionally clear the same bar
 itself — a regression that leaves only NumPy fast is a packaging bug
 worth failing on. Writes a machine-readable ``BENCH_kernels.json``
@@ -20,7 +22,8 @@ artifact.
 
 
 def run_smoke(repeats: int = 5, seed: int = 0) -> dict:
-    """CI gate: bit-identical backends, best scan >= 3x, best LUT >= 5x."""
+    """CI gate: bit-identical backends, best scan >= 3x, best LUT >= 5x,
+    numpy round >= 1.5x."""
     from repro.pim.backend.microbench import (
         MIN_SCAN_SPEEDUP,
         format_record,
@@ -60,8 +63,8 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="CI kernel gate: all backends bit-identical to the staged "
-        "reference; best stacked scan >= 3x (numba too when importable) "
-        "and best LUT build >= 5x",
+        "reference; best stacked scan >= 3x (numba too when importable), "
+        "best LUT build >= 5x, and numpy round scan >= 1.5x",
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)

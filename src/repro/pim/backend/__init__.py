@@ -6,9 +6,12 @@ This package puts their implementations behind a small dispatch
 registry so the engine can swap a fused / compiled build in and out
 without touching any call site:
 
-* :class:`KernelBackend` — the three-op interface: the fused
+* :class:`KernelBackend` — the op interface: the fused
   gather-accumulate scan (:meth:`~KernelBackend.scan` /
-  :meth:`~KernelBackend.scan_stacked`), the batched integer LUT build
+  :meth:`~KernelBackend.scan_stacked`), the ragged round scan
+  (:meth:`~KernelBackend.scan_ragged`, one NumPy flat gather; no
+  backend overrides it),
+  the batched integer LUT build
   (:meth:`~KernelBackend.build_luts`), and the fused scan+local-top-k
   (:meth:`~KernelBackend.scan_topk`) that never materializes the full
   ``(g, n)`` distance matrix for clusters beyond
@@ -60,6 +63,24 @@ KERNEL_BACKEND_MODES = ("auto", "numpy", "numba")
 #: identical canonical ``(distance, id)`` merge.
 SCAN_TOPK_N_CHUNK = 1 << 16
 
+_I32_MIN = np.iinfo(np.int32).min
+_I32_MAX = np.iinfo(np.int32).max
+
+
+def _gather_view(luts: np.ndarray) -> np.ndarray:
+    """int32 copy of the LUTs when lossless, else the original.
+
+    Gathering from int32 halves the memory traffic of the hot loop;
+    the accumulator is int64 either way, and NumPy upcasts the gathered
+    int32 values exactly, so the sums are unchanged.
+    """
+    if luts.size == 0 or luts.dtype.itemsize <= 4:
+        return luts
+    lo, hi = luts.min(), luts.max()
+    if _I32_MIN <= lo and hi <= _I32_MAX:
+        return luts.astype(np.int32)
+    return luts
+
 
 class KernelBackend:
     """Interface of one kernel implementation (see module docstring).
@@ -92,6 +113,25 @@ class KernelBackend:
         """Stacked fused scan: ``(J, g, M, CB)`` x ``(J, n, M)`` ->
         ``(J, g, n)`` without a ``(J, g, n, M)`` intermediate."""
         raise NotImplementedError
+
+    def scan_ragged(
+        self, luts: np.ndarray, seg_row, seg_start, seg_len, codes: np.ndarray
+    ) -> np.ndarray:
+        """Ragged round scan -> ``(Σ seg_len,)`` int64 distances: segment
+        ``s`` scores ``(rows, M, CB)`` LUT row ``seg_row[s]`` against
+        ``codes[seg_start[s]:][:seg_len[s]]``. Default for every backend:
+        one ``(M, cells)`` flat ``row·M·CB + m·CB + code`` gather."""
+        _, m, cb = luts.shape
+        seg_len = np.asarray(seg_len, dtype=np.intp)
+        first = np.asarray(seg_start, dtype=np.intp) - np.cumsum(seg_len) + seg_len
+        code_row = np.arange(seg_len.sum()) + np.repeat(first, seg_len)
+        idx = np.add(
+            (np.arange(m) * cb)[:, None],
+            np.repeat(np.asarray(seg_row, dtype=np.intp) * (m * cb), seg_len),
+        )
+        idx += codes.T[:, code_row]
+        table = _gather_view(luts).reshape(-1)
+        return table.take(idx).sum(axis=0, dtype=np.int64)
 
     def build_luts(
         self, residuals: np.ndarray, codebooks: np.ndarray
@@ -214,6 +254,14 @@ class _GuardedBackend(KernelBackend):
             except Exception as exc:
                 self._degrade("scan_stacked", exc)
         return self._fallback.scan_stacked(luts, codes)
+
+    def scan_ragged(self, *args) -> np.ndarray:
+        if not self._degraded:
+            try:
+                return self._primary.scan_ragged(*args)
+            except Exception as exc:
+                self._degrade("scan_ragged", exc)
+        return self._fallback.scan_ragged(*args)
 
     def build_luts(
         self, residuals: np.ndarray, codebooks: np.ndarray

@@ -26,31 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.pim.backend import KernelBackend
+from repro.pim.backend import KernelBackend, _gather_view
 from repro.pim.kernels import scan_distances, scan_distances_stacked
 
 #: Below this many output cells (``g * n``) the fused per-subspace loop
 #: loses to the reference's single staged gather; the variants are
 #: bit-identical, so the cutover is purely a wall-clock choice.
 FUSED_MIN_CELLS = 1024
-
-_I32_MIN = np.iinfo(np.int32).min
-_I32_MAX = np.iinfo(np.int32).max
-
-
-def _gather_view(luts: np.ndarray) -> np.ndarray:
-    """int32 copy of the LUTs when lossless, else the original.
-
-    Gathering from int32 halves the memory traffic of the hot loop;
-    the accumulator is int64 either way, and NumPy upcasts the gathered
-    int32 values exactly, so the sums are unchanged.
-    """
-    if luts.size == 0 or luts.dtype.itemsize <= 4:
-        return luts
-    lo, hi = luts.min(), luts.max()
-    if _I32_MIN <= lo and hi <= _I32_MAX:
-        return luts.astype(np.int32)
-    return luts
 
 
 def _scan_fused(luts: np.ndarray, gather: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from repro.pim.kernels.topk_sort import (
     expected_heap_updates,
     run_topk_sort,
     topk_rows,
+    topk_segments,
     topk_sort_cost,
 )
 
@@ -58,4 +59,5 @@ __all__ = [
     "scan_distances",
     "scan_distances_stacked",
     "topk_rows",
+    "topk_segments",
 ]

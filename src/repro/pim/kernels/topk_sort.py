@@ -70,7 +70,8 @@ def topk_rows(
     ``(distance, id)`` order that :func:`~repro.utils.merge_topk_pools`
     and the host reference use: a tie at the k-th distance keeps the
     smallest ids, and equal distances come out in ascending id order.
-    No cost accounting — callers that model timing charge
+    The unpadded case of :func:`topk_segments` (same selection and tie
+    rule). No cost accounting — callers that model timing charge
     :func:`topk_sort_cost` separately.
     """
     dists = np.asarray(dists)
@@ -82,23 +83,85 @@ def topk_rows(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     g, n = dists.shape
-    kk = min(k, n)
     if not n:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_d = np.empty(0, dtype=dists.dtype)
-        return [(empty_i, empty_d) for _ in range(g)]
-    # One extra candidate exposes a tie at the k-th distance. Rows with
-    # any tie re-rank every candidate up to the k-th distance by
-    # (distance, id); the rest are already canonical.
-    sel, vals = topk_smallest(dists, kk + 1, axis=1)
-    results = list(zip(ids[sel[:, :kk]], vals[:, :kk]))
-    tied = vals[:, 1:] == vals[:, :-1]
-    if tied.any():
-        for row in np.flatnonzero(tied.any(axis=1)):
-            cand = np.flatnonzero(dists[row] <= vals[row, kk - 1])
-            keep = cand[np.lexsort((ids[cand], dists[row, cand]))[:kk]]
-            results[row] = (ids[keep], dists[row, keep])
-    return results
+        return [(np.empty(0, dtype=np.int64), np.empty(0, dists.dtype))] * g
+    return _topk_block(dists, n, ids, 0, k)
+
+
+def segment_buckets(seg_len) -> List[np.ndarray]:
+    """Segment indices grouped for padded selection, longest first: a
+    group pads to its first segment and takes the next while its padded
+    cells stay within twice its real cells (empty segments group
+    apart), so padding never exceeds the real cells. No cost accounting.
+    """
+    lens = np.asarray(seg_len)
+    order = np.argsort(-lens, kind="stable")
+    groups: List[List[int]] = []
+    width = real = 0
+    for s, n in zip(order.tolist(), lens[order].tolist()):
+        full = (len(groups[-1]) + 1) * width > 2 * (real + n) if groups else True
+        if full or (width and not n):
+            groups.append([])
+            width, real = n, 0
+        groups[-1].append(s)
+        real += n
+    return [np.array(g, dtype=np.intp) for g in groups]
+
+
+def topk_segments(
+    dists: np.ndarray, seg_len, ids: np.ndarray, seg_start, k: int
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """TS over ragged segments, each in :func:`topk_rows` order: segment
+    ``s`` owns the next ``seg_len[s]`` of the flat integer ``dists`` and
+    scores ``ids[seg_start[s]:][:seg_len[s]]``. Each :func:`segment_buckets`
+    group is padded with the dtype's maximum for one selection call.
+    No cost accounting — callers charge :func:`topk_sort_cost`."""
+    dists, ids = np.asarray(dists), np.asarray(ids)
+    seg_len = np.asarray(seg_len, dtype=np.intp)
+    seg_start = np.asarray(seg_start, dtype=np.intp)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    offs = np.cumsum(seg_len) - seg_len
+    out = [(np.empty(0, dtype=np.int64), dists[:0])] * len(seg_len)
+    for sel in segment_buckets(seg_len):
+        lens = seg_len[sel]
+        real = np.arange(lens.max()) < lens[:, None]
+        block = np.full(real.shape, np.iinfo(dists.dtype).max, dtype=dists.dtype)
+        block[real] = dists[(offs[sel][:, None] + np.arange(real.shape[1]))[real]]
+        if real.shape[1]:  # an all-empty group keeps the empty rows
+            rows = _topk_block(block, lens, ids, seg_start[sel][:, None], k)
+            for s, row in zip(sel.tolist(), rows):
+                out[s] = row
+    return out
+
+
+def _topk_block(
+    block: np.ndarray, lens, ids: np.ndarray, starts, k: int
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Top-k of the first ``lens[r] >= 1`` cells of each row (padding
+    after them sorts last), scoring ``ids[starts[r, 0]:]``; ``lens`` and
+    the ``starts`` column may be scalars. One extra candidate exposes a
+    tie at the k-th distance: rows with a tie, or too short to fill it,
+    re-rank every candidate up to it by (distance, id).
+    No cost accounting.
+    """
+    width = block.shape[1]
+    pos, vals = topk_smallest(block, min(k + 1, width), axis=1)
+    kk = min(k, width)
+    # Clipped ids only land in short rows, which are re-ranked below.
+    rows = list(zip(ids.take(pos[:, :kk] + starts, mode="clip"), vals[:, :kk]))
+    redo = (vals[:, 1:] == vals[:, :-1]).any(axis=1) | (lens < min(k + 1, width))
+    if not redo.any():
+        return rows
+    lens = np.broadcast_to(lens, len(block))
+    starts = np.broadcast_to(starts, (len(block), 1))
+    for r in np.flatnonzero(redo).tolist():
+        n, lo = int(lens[r]), int(starts[r, 0])
+        row, rid, kr = block[r, :n], ids[lo : lo + n], min(k, n)
+        cand = np.flatnonzero(row <= vals[r, kr - 1])
+        keep = cand[np.lexsort((rid[cand], row[cand]))[:kr]]
+        rows[r] = (rid[keep], row[keep])
+    return rows
 
 
 def run_topk_sort(

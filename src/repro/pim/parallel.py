@@ -10,13 +10,16 @@ drive independent PIM ranks from multiple threads.
 
 Three executors and a planner live here:
 
-* :func:`scan_shard_group` — the single functional scan path. The
-  serial loop, the vectorized fast path's per-group fallback, and both
-  worker pools all funnel through the same kernel backend
-  (:mod:`repro.pim.backend` — every backend is bit-identical to the
-  reference :func:`~repro.pim.kernels.scan_distances` /
-  :func:`~repro.pim.kernels.topk_rows` pair), which is what makes
-  every execution strategy bit-exact by construction.
+* :func:`scan_shard_group` — the per-group scan path of the serial
+  loop, of ``compiled`` rounds and of both worker pools, through the
+  kernel backend (:mod:`repro.pim.backend`; every backend is
+  bit-identical to the reference :func:`~repro.pim.kernels.scan_distances`
+  / :func:`~repro.pim.kernels.topk_rows` pair). :func:`scan_jobs_stacked`
+  is the ``vectorized`` round scan: one ragged DC pass and one segmented
+  top-k over every group (it replaced shape bucketing, which measured
+  0.91–0.96x of the serial loop on engine rounds). Both share the
+  integer math and the one canonical tie rule of ``topk_rows``, so
+  every strategy is bit-exact.
 * :class:`PersistentShardPool` — the default pool. Workers are spawned
   once, attach every shard's codes/ids through one
   :mod:`multiprocessing.shared_memory` segment (the arena), and keep
@@ -60,21 +63,22 @@ from repro.pim.backend import (
     KernelBackend,
     resolve_backend,
 )
-from repro.pim.kernels import topk_rows
+from repro.pim.kernels import topk_segments
 
 #: Rows of LUTs scanned per functional DC call; bounds the transient
 #: ``(rows, n, M)`` gather tensor without changing results (the scan
 #: and top-k are row-independent).
 ROW_CHUNK = 256
 
-#: One shard-group scan job: (luts (g, M, CB), codes (n, M), ids (n,), k).
+#: One shard-group scan job: (luts (g, M, CB), codes (n, M), ids (n,), k);
+#: :func:`scan_jobs_stacked` takes a (g,) row index in place of the luts.
 ScanJob = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
 #: Per-row output of a job: [(ids_k, dists_k)] in LUT row order.
 ScanRows = List[Tuple[np.ndarray, np.ndarray]]
 
 #: Planner thresholds: minimum LUT-entry gathers in a round before the
 #: pool's IPC overhead pays for itself, and minimum same-round jobs
-#: before the stacked fast path beats the per-group loop.
+#: before the ragged round scan beats the per-group loop.
 POOL_MIN_POINTS = 1 << 16
 VECTOR_MIN_JOBS = 2
 
@@ -93,11 +97,12 @@ def scan_shard_group(
 ) -> ScanRows:
     """DC + TS over one shard group, chunked over LUT rows.
 
-    The single functional scan path: the serial executor, the worker
-    processes, and :meth:`PimSystem.run_batch` all funnel through this
-    function — and through the same
-    :meth:`~repro.pim.backend.KernelBackend.scan_topk` selection rule —
-    which is what makes parallel execution bit-exact by construction.
+    The per-group scan of the serial loop, of ``compiled`` rounds, and
+    of both worker pools, through
+    :meth:`~repro.pim.backend.KernelBackend.scan_topk`. The ragged round
+    scan (:func:`scan_jobs_stacked`) matches it byte for byte because
+    both select through the one canonical (distance, id) tie rule of
+    :func:`~repro.pim.kernels.topk_rows`.
     ``backend=None`` resolves the process default (``auto``).
     """
     if backend is None:
@@ -113,61 +118,75 @@ def _scan_job(job: ScanJob) -> ScanRows:
     return scan_shard_group(luts, codes, ids, k)
 
 
-#: Byte budget for one stacked DC gather tensor ``(J, g, n, M)`` in the
-#: vectorized fast path; bounds transient memory without affecting
-#: results (jobs are independent).
+#: Byte budget for one chunk of :func:`scan_jobs_stacked`, charged per
+#: (segment, code) cell for what the chunk builds: the ``(M, cells)``
+#: intp gather index and its gathered values (16 bytes per subspace)
+#: plus 16 int64 per-cell vectors (offsets, distances, the ≤ 2x padded
+#: top-k block and its temporaries). Bounds memory, never results.
 _STACK_CHUNK_BYTES = 64 * 1024 * 1024
 
 
 def scan_jobs_stacked(
     jobs: Sequence[ScanJob],
     backend: Optional[KernelBackend] = None,
+    *,
+    luts: np.ndarray,
 ) -> List[ScanRows]:
-    """Cross-DPU vectorized scan: same-shape jobs in single kernel calls.
+    """Cross-DPU round scan: one ragged DC pass + one segmented top-k.
 
-    Jobs are bucketed by ``(lut shape, code shape, dtypes, k)``; each
-    bucket's LUTs and codes are stacked and scanned with one
-    :meth:`~repro.pim.backend.KernelBackend.scan_stacked` dispatch
-    instead of J separate kernel calls — the host-side analogue of
-    launching one kernel across every DPU at once. Per-job results are
-    bit-identical to :func:`scan_shard_group` (the stacked gather and
-    reduction are elementwise/row-independent, and clusters large
-    enough for the chunked top-k path are excluded from stacking so
-    every path applies the same selection rule), so this is purely a
-    wall-clock strategy. Odd-shaped or oversized jobs fall back to the
-    per-group scan; results come back in submission order.
+    A job's first element is a 1-D intp index of its rows in the round's
+    ``(rows, M, CB)`` ``luts``. Each (job, LUT row) pair is a segment;
+    each chunk of at most :data:`_STACK_CHUNK_BYTES` (one segment at
+    least) is one :meth:`~repro.pim.backend.KernelBackend.scan_ragged`
+    and one :func:`~repro.pim.kernels.topk_segments` call. Bit-identical
+    to :func:`scan_shard_group` per job, which still runs jobs over
+    :data:`SCAN_TOPK_N_CHUNK` points; each ``k`` is its own pass.
     """
     if backend is None:
         backend = resolve_backend("auto")
     results: List[ScanRows] = [None] * len(jobs)  # type: ignore[list-item]
-    buckets: Dict[tuple, List[int]] = {}
-    for ji, (luts, codes, _ids, k) in enumerate(jobs):
-        key = (luts.shape, codes.shape, luts.dtype.str, codes.dtype.str, k)
-        buckets.setdefault(key, []).append(ji)
-    for (lshape, cshape, _, _, k), idxs in buckets.items():
-        g = lshape[0]
-        n, m = cshape
-        per_job = g * n * m * 8
-        if (
-            len(idxs) < 2
-            or per_job > _STACK_CHUNK_BYTES
-            or n > SCAN_TOPK_N_CHUNK
-        ):
-            for ji in idxs:
-                luts_j, codes_j, ids_j, k_j = jobs[ji]
-                results[ji] = scan_shard_group(
-                    luts_j, codes_j, ids_j, k_j, backend=backend
-                )
-            continue
-        step = max(1, _STACK_CHUNK_BYTES // max(per_job, 1))
-        for c0 in range(0, len(idxs), step):
-            sel = idxs[c0 : c0 + step]
-            luts_s = np.stack([jobs[ji][0] for ji in sel])
-            codes_s = np.stack([jobs[ji][1] for ji in sel])
-            dists = backend.scan_stacked(luts_s, codes_s)
-            for off, ji in enumerate(sel):
-                results[ji] = topk_rows(dists[off], jobs[ji][2], k)
+    passes: Dict[int, List[int]] = {}
+    for ji, (rows, codes, ids, k) in enumerate(jobs):
+        if codes.shape[0] > SCAN_TOPK_N_CHUNK:
+            results[ji] = scan_shard_group(luts[rows], codes, ids, k, backend=backend)
+        else:
+            passes.setdefault(k, []).append(ji)
+    cell_bytes = 8 * (2 * luts.shape[1] + 16)
+    for k, idxs in passes.items():
+        segs = [(ji, r) for ji in idxs for r in jobs[ji][0].tolist()]
+        ends = np.cumsum([len(jobs[ji][2]) for ji, _ in segs]) * cell_bytes
+        out: ScanRows = []
+        lo = 0
+        while lo < len(segs):
+            cap = _STACK_CHUNK_BYTES + (ends[lo - 1] if lo else 0)
+            hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+            out += _scan_ragged_chunk(jobs, segs[lo:hi], luts, k, backend)
+            lo = hi
+        rows_out = iter(out)
+        for ji in idxs:
+            results[ji] = [next(rows_out) for _ in range(len(jobs[ji][0]))]
     return results
+
+
+def _scan_ragged_chunk(
+    jobs: Sequence[ScanJob],
+    segs: List[Tuple[int, int]],
+    luts: np.ndarray,
+    k: int,
+    backend: KernelBackend,
+) -> ScanRows:
+    """DC + TS of ``(job, LUT row)`` segments: one call each."""
+    order = list(dict.fromkeys(ji for ji, _ in segs))
+    sizes = np.array([len(jobs[ji][2]) for ji in order], dtype=np.intp)
+    first = dict(zip(order, (np.cumsum(sizes) - sizes).tolist()))
+    seg_start = np.array([first[ji] for ji, _ in segs], dtype=np.intp)
+    seg_len = np.array([len(jobs[ji][2]) for ji, _ in segs], dtype=np.intp)
+    seg_row = np.array([r for _, r in segs], dtype=np.intp)
+    lo, hi = seg_row.min(), seg_row.max() + 1
+    codes = np.concatenate([jobs[ji][1] for ji in order])
+    dists = backend.scan_ragged(luts[lo:hi], seg_row - lo, seg_start, seg_len, codes)
+    ids = np.concatenate([jobs[ji][2] for ji in order])
+    return topk_segments(dists, seg_len, ids, seg_start, k)
 
 
 # ---------------------------------------------------------------------------
@@ -932,12 +951,13 @@ class ExecutionPlanner:
       empirically;
     * a configured-but-cold pool is warmed in the background while the
       round runs in-process (no round ever blocks on worker spawn);
-    * the stacked in-process path takes fault-free rounds with at
-      least :data:`VECTOR_MIN_JOBS` groups — labeled ``"compiled"``
-      when the active backend is a compiled one, ``"vectorized"``
-      otherwise (same dispatch, different kernels); fault-plan rounds
-      keep the per-DPU serial traversal (conservative, and retries
-      stay easy to reason about);
+    * fault-free rounds with at least :data:`VECTOR_MIN_JOBS` groups
+      stay in-process: ``"vectorized"`` (the ragged NumPy round scan,
+      :func:`scan_jobs_stacked`) on a NumPy backend, ``"compiled"``
+      (the per-group loop on the compiled kernels; there is no
+      compiled ragged scan) on a compiled one; fault-plan rounds keep
+      the per-DPU serial traversal (conservative, and retries stay
+      easy to reason about);
     * everything else runs serial.
 
     Explicit modes force their path, degrading one step (pool →

@@ -522,7 +522,7 @@ class PimSystem:
 
         # ---- functional pass: one RC+LC build per round, DC+TS
         # per shard group via the planner-chosen path (serial loop,
-        # stacked cross-DPU NumPy calls, or worker processes).
+        # one ragged cross-DPU scan, or worker processes).
         group_rows, group_misses = self._run_groups_functional(
             groups,
             queries,
@@ -645,9 +645,10 @@ class PimSystem:
         :data:`_LUT_CHUNK_BYTES`. Each centroid's shard groups are
         scanned (DC/TS over all of a group's queries at once) as soon as
         its last pair is built, on the data-plane path the planner picks
-        for this round (serial per-group loop, stacked cross-DPU NumPy
-        calls, or the worker pool). Integer math makes every path
-        bit-identical to per-group recomputation.
+        for this round (per-group loop, serial or compiled; one ragged
+        cross-DPU scan indexing the chunk's LUT rows in place; or the
+        worker pool). Integer math makes every path bit-identical to
+        per-group recomputation.
 
         Returns per-group result rows and per-group square-LUT miss
         counts (for LC cost charging), indexed like ``groups``.
@@ -708,6 +709,7 @@ class PimSystem:
         window = sq if sq is not None and sq.resident_max_abs < sq.max_abs else None
         pair_misses = np.zeros(len(pair_q), dtype=np.int64)
         chunk = max(1, _LUT_CHUNK_BYTES // (m * cb * dsub * 8))
+        ragged = path == "vectorized"  # compiled keeps per-group kernels
         pending: List[np.ndarray] = []  # built LUT rows from pair `base` on
         base = ci = 0
         for c0 in range(0, len(pair_q), chunk):
@@ -734,8 +736,9 @@ class PimSystem:
                         skey, self._shards[skey][1]
                     )
                     if len(ids_s):
-                        rows = [r - base for r in rows]
-                        jobs.append((luts[rows], codes_s, ids_s, k))
+                        rows = np.array(rows, dtype=np.intp) - base
+                        head = rows if ragged else luts[rows]
+                        jobs.append((head, codes_s, ids_s, k))
                         job_gis.append(gi)
                     else:
                         group_rows[gi] = [empty_row] * len(qidxs)
@@ -756,8 +759,8 @@ class PimSystem:
                         )
                     else:
                         results = self.executor.scan_groups(jobs)
-                elif path in ("vectorized", "compiled"):
-                    results = scan_jobs_stacked(jobs, backend=backend)
+                elif ragged:
+                    results = scan_jobs_stacked(jobs, backend=backend, luts=luts)
                 else:
                     results = [
                         scan_shard_group(*job, backend=backend)

@@ -307,6 +307,22 @@ class TestGuardedFallback:
         guarded.scan(luts, codes)
         assert take_fallback_events() == []
 
+    def test_ragged_scan_failure_degrades(self):
+        class _BadRagged(self._Exploding):
+            name = "badragged"
+
+            def scan_ragged(self, *args):
+                raise RuntimeError("jit blew up")
+
+        guarded = _GuardedBackend(_BadRagged(), NumpyBackend())
+        luts, codes = _scan_case(_rng(9), 2, 20, 4, 16)
+        got = guarded.scan_ragged(luts, [1, 0], [0, 5], [20, 15], codes)
+        want = np.concatenate(
+            [scan_distances(luts[1:], codes)[0], scan_distances(luts[:1], codes[5:])[0]]
+        )
+        assert np.array_equal(got, want)
+        assert take_fallback_events() == ["badragged-scan_ragged-failed"]
+
     def test_warmup_failure_degrades(self):
         class _BadWarmup(self._Exploding):
             name = "badwarmup"

@@ -11,8 +11,15 @@ close — checkable via :func:`assert_no_leaked_segments`.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.square_lut import SquareLut
+from repro.pim import PimSystem, PimSystemConfig
+from repro.pim.backend import SCAN_TOPK_N_CHUNK, available_backends, resolve_backend
 from repro.pim.kernels import scan_distances, scan_distances_stacked, topk_rows
+from repro.pim.kernels.topk_sort import segment_buckets
+from repro.pim.system import ShardData
 from repro.pim.parallel import (
     POOL_MIN_POINTS,
     ROW_CHUNK,
@@ -38,6 +45,17 @@ def _jobs(rng, n_jobs=3, g=7, m=8, cb=16, n=50, k=5):
         ids = rng.permutation(10_000)[:n].astype(np.int64)
         jobs.append((luts, codes, ids, k))
     return jobs
+
+
+def _stacked(jobs):
+    """:func:`scan_jobs_stacked` on block jobs, passed in its row-index
+    form: one concatenated LUT table and each job's row range in it."""
+    ends = np.cumsum([len(j[0]) for j in jobs])
+    table = np.concatenate([j[0] for j in jobs])
+    return scan_jobs_stacked(
+        [(np.arange(e - len(j[0]), e),) + tuple(j[1:]) for e, j in zip(ends, jobs)],
+        luts=table,
+    )
 
 
 def _assert_rows_equal(got, want):
@@ -136,12 +154,12 @@ class TestShardExecutor:
 class TestScanJobsStacked:
     def test_uniform_shapes_match_serial(self, rng):
         jobs = _jobs(rng, n_jobs=5)
-        got = scan_jobs_stacked(jobs)
+        got = _stacked(jobs)
         for g, j in zip(got, jobs):
             _assert_rows_equal(g, scan_shard_group(*j))
 
     def test_mixed_shapes_match_serial(self, rng):
-        """Different-shape buckets and singletons all come back in order."""
+        """Jobs of different shapes all come back in order."""
         jobs = (
             _jobs(rng, n_jobs=2, g=7, n=50)
             + _jobs(rng, n_jobs=3, g=4, n=31)
@@ -149,16 +167,16 @@ class TestScanJobsStacked:
         )
         order = rng.permutation(len(jobs))
         shuffled = [jobs[i] for i in order]
-        got = scan_jobs_stacked(shuffled)
+        got = _stacked(shuffled)
         for g, j in zip(got, shuffled):
             _assert_rows_equal(g, scan_shard_group(*j))
 
     def test_chunking_budget_is_invisible(self, rng, monkeypatch):
         jobs = _jobs(rng, n_jobs=6)
-        base = scan_jobs_stacked(jobs)
-        # Tiny budget: every job overflows and falls back per-group.
+        base = _stacked(jobs)
+        # Tiny budget: every chunk holds a single segment.
         monkeypatch.setattr("repro.pim.parallel._STACK_CHUNK_BYTES", 1)
-        tiny = scan_jobs_stacked(jobs)
+        tiny = _stacked(jobs)
         for g, s in zip(tiny, base):
             _assert_rows_equal(g, s)
 
@@ -169,6 +187,184 @@ class TestScanJobsStacked:
         dists = scan_distances_stacked(luts, codes)
         for ji, (l, c, _i, _k) in enumerate(jobs):
             np.testing.assert_array_equal(dists[ji], scan_distances(l, c))
+
+
+def _assert_rows_identical(got, want):
+    """Byte-equal rows: same values and the same dtypes."""
+    assert len(got) == len(want)
+    for (gi, gd), (wi, wd) in zip(got, want):
+        assert gi.dtype == wi.dtype and gd.dtype == wd.dtype
+        np.testing.assert_array_equal(gi, wi)
+        np.testing.assert_array_equal(gd, wd)
+
+
+class TestRaggedRoundScan:
+    """The ragged round scan is byte-equal to the per-group loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_jobs=st.integers(1, 6),
+        k=st.integers(1, 12),
+        mixed_k=st.booleans(),
+        luts_kind=st.sampled_from(["ties", "plain", "beyond_int32"]),
+        cb=st.sampled_from([16, 300]),
+        m=st.sampled_from([1, 4, 8]),
+    )
+    def test_matches_per_group_loop(
+        self, seed, n_jobs, k, mixed_k, luts_kind, cb, m
+    ):
+        """Row-index jobs vs :func:`scan_shard_group`, over
+        n in {1, k - 1, k, k + 1, random}, heavy ties at the k-th
+        distance, LUT rows shared by several groups, mixed k, uint8 and
+        uint16 codes, and LUT entries the int32 gather view cannot hold."""
+        rng = np.random.default_rng(seed)
+        high = {"ties": 3, "plain": 1 << 16, "beyond_int32": 1 << 40}[luts_kind]
+        table = rng.integers(0, high, size=(4, m, cb)).astype(np.int64)
+        code_dtype = np.uint8 if cb <= 256 else np.uint16
+        jobs = []
+        for _ in range(n_jobs):
+            kj = int(rng.integers(1, 13)) if mixed_k else k
+            n = int(rng.choice([1, max(kj - 1, 1), kj, kj + 1, rng.integers(1, 200)]))
+            rows = rng.integers(0, len(table), size=int(rng.integers(1, 4)))
+            codes = rng.integers(0, cb, size=(n, m)).astype(code_dtype)
+            ids = rng.permutation(10_000)[:n].astype(np.int64)
+            jobs.append((rows.astype(np.intp), codes, ids, kj))
+        want = [scan_shard_group(table[r], c, i, kj) for r, c, i, kj in jobs]
+        for got, w in zip(scan_jobs_stacked(jobs, luts=table), want):
+            _assert_rows_identical(got, w)
+
+    def test_oversized_job_takes_the_chunked_path(self, monkeypatch):
+        """A job beyond SCAN_TOPK_N_CHUNK goes through scan_shard_group
+        (the chunked canonical merge); the rest stay ragged."""
+        import repro.pim.parallel as par
+
+        rng = np.random.default_rng(3)
+        table = rng.integers(0, 3, size=(3, 2, 8)).astype(np.int64)
+        n_big = SCAN_TOPK_N_CHUNK + 5
+        jobs = [
+            (np.array([0, 2]), rng.integers(0, 8, size=(n_big, 2)).astype(np.uint8),
+             rng.permutation(n_big).astype(np.int64), 10),
+            (np.array([1]), rng.integers(0, 8, size=(40, 2)).astype(np.uint8),
+             np.arange(40, dtype=np.int64), 10),
+        ]
+        want = [scan_shard_group(table[r], c, i, k) for r, c, i, k in jobs]
+        calls = []
+        real = par.scan_shard_group
+        monkeypatch.setattr(
+            par, "scan_shard_group",
+            lambda luts, codes, *a, **kw: calls.append(len(codes))
+            or real(luts, codes, *a, **kw),
+        )
+        got = scan_jobs_stacked(jobs, luts=table)
+        assert calls == [n_big]
+        for g, w in zip(got, want):
+            _assert_rows_identical(g, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_segs=st.integers(0, 12),
+        wide=st.booleans(),
+        cb=st.sampled_from([16, 300]),
+    )
+    def test_scan_ragged_matches_scan_distances(self, seed, n_segs, wide, cb):
+        """Every backend's ragged scan equals the staged reference per
+        segment, segments overlapping freely on codes and LUT rows."""
+        rng = np.random.default_rng(seed)
+        m = 4
+        luts = rng.integers(0, (1 << 40) if wide else 255, size=(5, m, cb))
+        codes = rng.integers(0, cb, size=(60, m)).astype(
+            np.uint8 if cb <= 256 else np.uint16
+        )
+        seg_row = rng.integers(0, 5, size=n_segs)
+        seg_start = rng.integers(0, 60, size=n_segs)
+        seg_len = rng.integers(0, 61 - seg_start)
+        want = [
+            scan_distances(luts[r : r + 1], codes[s0 : s0 + ln])[0]
+            for r, s0, ln in zip(seg_row, seg_start, seg_len)
+        ]
+        for name in available_backends():
+            got = resolve_backend(name).scan_ragged(
+                luts, seg_row, seg_start, seg_len, codes
+            )
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(
+                got, np.concatenate(want) if want else np.empty(0, np.int64)
+            )
+
+    def test_length_buckets_pad_at_most_twice(self):
+        """One 20,000-point segment among 500 of 100 points: padding
+        each length class to its longest segment stays within 2x."""
+        seg_len = np.array([20_000] + [100] * 500)
+        buckets = segment_buckets(seg_len)
+        assert sorted(np.concatenate(buckets).tolist()) == list(range(501))
+        padded = sum(len(b) * int(seg_len[b].max()) for b in buckets)
+        assert padded <= 2 * int(seg_len.sum())
+        rng = np.random.default_rng(0)
+        lens = rng.integers(0, 5000, size=300)
+        padded = sum(len(b) * int(lens[b].max()) for b in segment_buckets(lens))
+        assert padded <= 2 * int(lens.sum())
+
+
+def _ragged_system(rng):
+    system = PimSystem(PimSystemConfig(num_dpus=4))
+    system.load_codebooks(rng.integers(-100, 100, size=(8, 16, 4)).astype(np.int16))
+    system.load_square_lut(SquareLut.for_bit_width(8, levels=3))
+    for i in range(4):
+        n = 5 + 9 * i
+        system.place_shard(
+            i,
+            ShardData(
+                shard_key=f"s{i}",
+                centroid=rng.integers(0, 255, size=32).astype(np.uint8),
+                ids=np.arange(100 * i, 100 * i + n, dtype=np.int64),
+                codes=rng.integers(0, 4, size=(n, 8)).astype(np.uint8),
+            ),
+        )
+    return system
+
+
+class TestRaggedChunkBudget:
+    """Streaming the round scan in tiny chunks is byte-invisible."""
+
+    @pytest.mark.parametrize("budget", ["one_segment", "few_cells"])
+    def test_run_batch_byte_equal(self, monkeypatch, budget):
+        def run():
+            rng = np.random.default_rng(7)
+            system = _ragged_system(rng)
+            queries = rng.integers(0, 255, size=(6, 32)).astype(np.uint8)
+            assignments = {
+                d: [(q, f"s{d}") for q in range(6) if (q + d) % 4] for d in range(4)
+            }
+            partials, timing = system.run_batch(
+                assignments, queries, k=5, plan="vectorized"
+            )
+            ledger = [dict(d.cycles_by_kernel) for d in system.dpus]
+            rows = [(p.query_index, p.ids, p.distances) for p in partials]
+            return rows, ledger, timing.kernel_cycles
+
+        base_rows, base_ledger, base_cycles = run()
+        calls = []
+        backend = resolve_backend("auto")
+        real = type(backend).scan_ragged
+        monkeypatch.setattr(
+            type(backend), "scan_ragged",
+            lambda self, *a: calls.append(len(a[3])) or real(self, *a),
+        )
+        # The smallest shard's segment: 5 codes at 8 * (2 * M + 16) bytes
+        # each, M = 8 subspaces.
+        size = 5 * 8 * (2 * 8 + 16) if budget == "one_segment" else 3 * 8
+        monkeypatch.setattr("repro.pim.parallel._STACK_CHUNK_BYTES", size)
+        rows, ledger, cycles = run()
+        assert calls and max(calls) == 1  # every chunk held one segment
+        assert ledger == base_ledger and cycles == base_cycles
+        assert len(rows) == len(base_rows)
+        for (q, i, d), (bq, bi, bd) in zip(rows, base_rows):
+            assert q == bq
+            assert i.dtype == bi.dtype and d.dtype == bd.dtype
+            np.testing.assert_array_equal(i, bi)
+            np.testing.assert_array_equal(d, bd)
 
 
 class TestSharedShardArena:
